@@ -145,7 +145,7 @@ def _cmd_mincyclemean(parser, args) -> int:
     elif args.algorithm == "brute":
         res = brute_force_cycle_mean(graph)
     else:
-        res = min_cycle_mean_lowmem(graph, args.epsilon)
+        res = min_cycle_mean_lowmem(graph)
     if res.value is None:
         print("NONE")
     else:
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mincyclemean", help="minimum cycle mean of a dumped graph")
     p.add_argument("--input", required=True, help="graph dump file")
     p.add_argument("--algorithm", choices=("karp", "lowmem", "brute"), default="lowmem")
-    p.add_argument("--epsilon", type=_number, default=1e-9)
     p.add_argument("--witness", action="store_true", help="also print a witness cycle")
     p.set_defaults(func=_cmd_mincyclemean)
 

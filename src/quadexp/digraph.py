@@ -15,17 +15,16 @@ Three solvers are provided:
 * ``brute_force_cycle_mean`` enumerates simple cycles with exact rational
   arithmetic (test oracle, tiny graphs only);
 * ``min_cycle_mean_karp`` fills the classic dynamic-programming table over
-  walk lengths (working memory grows with the square of the vertex count)
-  and certifies its candidate with a down-rounded relaxation probe;
-* ``min_cycle_mean_lowmem`` brackets the answer by parametric search:
-  bisection over the candidate mean with a Bellman-Ford style detector
-  whose solver state is linear in the vertex count.  Real cycles harvested
-  from the detector's predecessor structure tighten the upper bracket.
+  walk lengths (working memory grows with the square of the vertex count);
+* ``min_cycle_mean_lowmem`` runs Howard policy iteration, evaluating each
+  policy by pointer doubling in numpy, with memory linear in the edge
+  count.
 
-All returned values are certified lower bounds: every accepted value is
-backed either by a relaxation fixed point (a per-edge system of
-inequalities that sums to nonnegativity around every cycle) or by exact
-rational arithmetic.
+The two fast solvers return the same certificate: for vertex labels that
+never decrease along an edge and any potentials x, the least down-rounded
+reduced weight w(u, v) + x[v] - x[u] over the edges joining equal labels
+is at most every cycle mean, because each cycle keeps one label and its
+reduced weights telescope to its own weight.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 
 from .family import ParamInterval, phase_domain
 from .partition import PhasePartition
-from .rigor import add_up, sub_down
 
 __all__ = [
     "WeightedDigraph",
@@ -61,14 +59,14 @@ def _arr_add_down(a, b):
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
-    return np.where(err < 0.0, np.nextafter(s, -_INF), s)
+    return np.nextafter(s, -_INF, out=s, where=err < 0.0)
 
 
 def _arr_add_up(a, b):
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
-    return np.where(err > 0.0, np.nextafter(s, _INF), s)
+    return np.nextafter(s, _INF, out=s, where=err > 0.0)
 
 
 _SPLIT = 134217729.0
@@ -93,14 +91,14 @@ def _arr_mul_down(a, b):
     p = a * b
     tiny = (np.abs(p) < _SUBNORMAL_GUARD) & (a != 0.0) & (b != 0.0)
     bad = tiny | (_arr_prod_err(a, b, p) < 0.0)
-    return np.where(bad, np.nextafter(p, -_INF), p)
+    return np.nextafter(p, -_INF, out=p, where=bad)
 
 
 def _arr_mul_up(a, b):
     p = a * b
     tiny = (np.abs(p) < _SUBNORMAL_GUARD) & (a != 0.0) & (b != 0.0)
     bad = tiny | (_arr_prod_err(a, b, p) > 0.0)
-    return np.where(bad, np.nextafter(p, _INF), p)
+    return np.nextafter(p, _INF, out=p, where=bad)
 
 
 def _arr_sqrt_down(x):
@@ -109,7 +107,7 @@ def _arr_sqrt_down(x):
     tiny = (rr < _SUBNORMAL_GUARD) & (x != 0.0)
     err = _arr_prod_err(r, r, rr)
     bad = tiny | (rr > x) | ((rr == x) & (err > 0.0))
-    return np.where(bad, np.nextafter(r, -_INF), r)
+    return np.nextafter(r, -_INF, out=r, where=bad)
 
 
 def _arr_sqrt_up(x):
@@ -118,17 +116,13 @@ def _arr_sqrt_up(x):
     tiny = (rr < _SUBNORMAL_GUARD) & (x != 0.0)
     err = _arr_prod_err(r, r, rr)
     bad = tiny | (rr < x) | ((rr == x) & (err < 0.0))
-    return np.where(bad, np.nextafter(r, _INF), r)
+    return np.nextafter(r, _INF, out=r, where=bad)
 
 
-def _div_up(a: float, b: float) -> float:
-    """Smallest representable >= a / b, for b > 0."""
-    q = a / b
-    p = q * b
-    err = float(_arr_prod_err(np.float64(q), np.float64(b), np.float64(p)))
-    if p < a or (p == a and err < 0.0):
-        q = math.nextafter(q, _INF)
-    return q
+def _ranges(begin, end):
+    """Concatenation of the integer ranges [begin[i], end[i])."""
+    counts = end - begin
+    return np.arange(int(counts.sum())) + np.repeat(begin - np.cumsum(counts) + counts, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +208,42 @@ def _canonical_cycle(cycle: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # representation construction
 
+def _edge_weights(omega: ParamInterval, delta: float, los, his, srcs, dsts):
+    """Down-rounded infimum of log|2x| over the part of each edge's source
+    cell inside the preimage enclosure of its target (target len(los) is
+    the critical cell).  A function of its own so that its per-edge
+    temporaries are freed before the graph sorts its edges."""
+    k = los.size
+    a_lo, a_hi = omega.a_lo, omega.a_hi
+    is_cell = dsts < k
+    safe = np.minimum(dsts, k - 1)
+    tgt_lo = np.where(is_cell, los[safe], -delta)
+    tgt_hi = np.where(is_cell, his[safe], delta)
+    rad_lo = np.maximum(_arr_add_down(a_lo, -tgt_hi), 0.0)
+    rad_hi = _arr_add_up(a_hi, -tgt_lo)
+    if rad_hi.size and rad_hi.min() < 0.0:
+        raise AssertionError("edge with entirely negative preimage radicand")
+    s_lo = _arr_sqrt_down(rad_lo)
+    s_hi = _arr_sqrt_up(rad_hi)
+
+    src_lo = los[srcs]
+    src_hi = his[srcs]
+    positive = src_lo > 0.0
+    j_lo = np.where(positive, np.maximum(src_lo, s_lo), np.maximum(src_lo, -s_hi))
+    j_hi = np.where(positive, np.minimum(src_hi, s_hi), np.minimum(src_hi, -s_lo))
+    if j_lo.size and np.any(j_lo > j_hi):
+        raise AssertionError("edge whose source does not meet the target preimage")
+    min_abs = np.where(positive, j_lo, -j_hi)
+
+    log = math.log
+    nxt = math.nextafter
+    return np.fromiter(
+        (nxt(log(2.0 * v), -_INF) for v in min_abs.tolist()),
+        dtype=np.float64,
+        count=min_abs.size,
+    )
+
+
 def build_representation(omega: ParamInterval, partition: PhasePartition) -> WeightedDigraph:
     """Weighted digraph representing the family on the partitioned phase
     space, uniformly over the parameter interval.
@@ -246,179 +276,95 @@ def build_representation(omega: ParamInterval, partition: PhasePartition) -> Wei
     t_hi = np.searchsorted(los, img_hi, side="right") - 1
     counts = np.maximum(t_hi - t_lo + 1, 0)
 
-    total = int(counts.sum())
     srcs = np.repeat(np.arange(k, dtype=np.int64), counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    dsts = offsets + np.repeat(t_lo, counts)
+    dsts = _ranges(t_lo, t_lo + counts)
 
     # edges into the critical cell
     hits_delta = np.flatnonzero((img_lo <= delta) & (img_hi >= -delta))
     srcs = np.concatenate([srcs, hits_delta])
     dsts = np.concatenate([dsts, np.full(hits_delta.size, k, dtype=np.int64)])
 
-    # weight: inf log|2x| over (source cell) /\ (preimage enclosure of target)
-    is_cell = dsts < k
-    safe = np.minimum(dsts, k - 1)
-    tgt_lo = np.where(is_cell, los[safe], -delta)
-    tgt_hi = np.where(is_cell, his[safe], delta)
-    rad_lo = np.maximum(_arr_add_down(a_lo, -tgt_hi), 0.0)
-    rad_hi = _arr_add_up(a_hi, -tgt_lo)
-    if rad_hi.size and rad_hi.min() < 0.0:
-        raise AssertionError("edge with entirely negative preimage radicand")
-    s_lo = _arr_sqrt_down(rad_lo)
-    s_hi = _arr_sqrt_up(rad_hi)
-
-    src_lo = los[srcs]
-    src_hi = his[srcs]
-    positive = src_lo > 0.0
-    j_lo = np.where(positive, np.maximum(src_lo, s_lo), np.maximum(src_lo, -s_hi))
-    j_hi = np.where(positive, np.minimum(src_hi, s_hi), np.minimum(src_hi, -s_lo))
-    if j_lo.size and np.any(j_lo > j_hi):
-        raise AssertionError("edge whose source does not meet the target preimage")
-    min_abs = np.where(positive, j_lo, -j_hi)
-
-    log = math.log
-    nxt = math.nextafter
-    weights = np.fromiter(
-        (nxt(log(2.0 * v), -_INF) for v in min_abs.tolist()),
-        dtype=np.float64,
-        count=min_abs.size,
-    )
+    weights = _edge_weights(omega, delta, los, his, srcs, dsts)
     return WeightedDigraph(k + 1, srcs, dsts, weights)
 
 
 # ---------------------------------------------------------------------------
-# relaxation detector (shared by the two fast solvers)
+# pruning, policy evaluation and the potential certificate
 
-_FIXED_POINT = 0
-_NEG_CYCLE = 1
-_CAP = 2
-
-
-class _ProbeOutcome:
-    __slots__ = ("status", "upper", "upper_cycle")
-
-    def __init__(self, status, upper=None, upper_cycle=None):
-        self.status = status
-        self.upper = upper          # round-up mean of the best harvested real cycle
-        self.upper_cycle = upper_cycle
-
-
-class _RelaxationDetector:
-    """Decides whether the graph shifted by a candidate mean admits a
-    negative cycle, with distances and predecessors of vertex-count size
-    plus buffers proportional to the edge list.
-
-    Every relaxation sum is rounded down via an error-free transformation,
-    so a reached fixed point is a rigorous per-edge certificate that all
-    cycle means are >= the probed value.  A candidate cycle read off the
-    predecessor structure is trusted as evidence of the converse only
-    after its shifted weight is re-summed with upward rounding and found
-    negative; independently, the plain round-up mean of any such real
-    cycle is harvested as an upper bracket for the minimum cycle mean.
-    """
-
-    def __init__(self, graph: WeightedDigraph):
-        order = np.lexsort((graph.src, graph.dst))
-        self.n = graph.num_vertices
-        self.src = graph.src[order]
-        self.dst = graph.dst[order]
-        self.w = graph.weight[order]
-        self.targets, self.seg_starts = np.unique(self.dst, return_index=True)
-        self.seg_lengths = np.diff(np.append(self.seg_starts, self.dst.size))
-        self._src_list = self.src.tolist()
-        self.d = np.zeros(self.n)
-        self.w_shifted = np.empty_like(self.w)
-
-    def _predecessor_cycles(self, cand, segmin):
-        """Cycles of the current best-predecessor functional graph, as
-        (vertex list, edge index list) pairs; vertex lists run in edge
-        direction and edge k goes from vertex k to vertex k+1 (cyclically).
-        Ties pick the smallest source (edges are sorted by target then
-        source)."""
-        mask = cand == np.repeat(segmin, self.seg_lengths)
-        hits = np.flatnonzero(mask)
-        verts, first = np.unique(self.dst[hits], return_index=True)
-        pred_edge = np.full(self.n, -1, dtype=np.int64)
-        pred_edge[verts] = hits[first]
-        pred_list = pred_edge.tolist()
-        src_list = self._src_list
-
-        cycles = []
-        state = bytearray(self.n)  # 0 unseen, 1 on current walk, 2 done
-        for start in range(self.n):
-            if state[start] or pred_list[start] < 0:
-                continue
-            path: list[int] = []
-            pos: dict[int, int] = {}
-            v = start
-            while True:
-                if state[v] == 1:
-                    at = pos[v]
-                    walk = path[at:]
-                    edges = [pred_list[u] for u in walk]
-                    # walk runs v -> pred(v); reverse to edge direction
-                    cycles.append((walk[::-1], edges[::-1]))
-                    break
-                if state[v] == 2:
-                    break
-                state[v] = 1
-                pos[v] = len(path)
-                path.append(v)
-                e = pred_list[v]
-                if e < 0:
-                    break
-                v = src_list[e]
-            for u in path:
-                state[u] = 2
-        return cycles
-
-    def _cycle_mean_up(self, cyc_edges) -> float:
-        s = 0.0
-        for wv in self.w[cyc_edges].tolist():
-            s = add_up(s, wv)
-        return _div_up(s, float(len(cyc_edges)))
-
-    def probe(self, mu: float, max_sweeps: int | None = None) -> _ProbeOutcome:
-        if max_sweeps is None:
-            max_sweeps = self.n + 2
-        np.copyto(self.w_shifted, _arr_add_down(self.w, -mu))
-        d = self.d
-        d.fill(0.0)
-        src, wsh = self.src, self.w_shifted
-        targets, seg_starts = self.targets, self.seg_starts
-        upper = None
-        upper_cycle = None
-        sweep = 0
-        while sweep < max_sweeps:
-            cand = _arr_add_down(d[src], wsh)
-            if cand.size == 0:
-                return _ProbeOutcome(_FIXED_POINT)
-            segmin = np.minimum.reduceat(cand, seg_starts)
-            old = d[targets]
-            new = np.minimum(old, segmin)
-            if np.array_equal(new, old):
-                return _ProbeOutcome(_FIXED_POINT, upper, upper_cycle)
-            d[targets] = new
-            sweep += 1
-            if sweep & (sweep - 1) == 0 or sweep % 32 == 0 or sweep == max_sweeps:
-                for cyc_vertices, cyc_edges in self._predecessor_cycles(cand, segmin):
-                    m = self._cycle_mean_up(cyc_edges)
-                    if upper is None or m < upper:
-                        upper, upper_cycle = m, cyc_vertices
-                    s = 0.0
-                    for wv in wsh[cyc_edges].tolist():
-                        s = add_up(s, wv)
-                    if s < 0.0:
-                        return _ProbeOutcome(_NEG_CYCLE, upper, upper_cycle)
-        return _ProbeOutcome(_CAP, upper, upper_cycle)
+def _prune(graph: WeightedDigraph):
+    """Mask of the vertices that can reach a cycle, found by repeatedly
+    dropping vertices without an out-edge; all False exactly when the graph
+    is acyclic.  Each round reads only the in-edges of the vertices it
+    drops."""
+    n = graph.num_vertices
+    out_deg = np.bincount(graph.src, minlength=n)
+    in_src = graph.src[np.argsort(graph.dst, kind="stable")]
+    in_ptr = np.concatenate(([0], np.cumsum(np.bincount(graph.dst, minlength=n))))
+    alive = np.ones(n, dtype=bool)
+    drop = np.flatnonzero(out_deg == 0)
+    while drop.size:
+        alive[drop] = False
+        preds, hits = np.unique(in_src[_ranges(in_ptr[drop], in_ptr[drop + 1])], return_counts=True)
+        out_deg[preds] -= hits
+        drop = preds[out_deg[preds] == 0]
+    return alive
 
 
-def _graph_is_acyclic(detector: _RelaxationDetector, max_weight: float) -> bool:
-    # Shift every weight strictly negative: a fixed point then proves there
-    # is no cycle at all, while any cycle forces the probe to keep relaxing
-    # past the sweep cap (a fixed point is reached within n sweeps on DAGs).
-    return detector.probe(max_weight + 1.0).status == _FIXED_POINT
+def _certify(src, dst, w, eta, x) -> float:
+    """Certified lower bound on every cycle mean from vertex labels eta and
+    potentials x: when eta[u] <= eta[v] on every edge (u, v), each cycle
+    stays inside one label class, around it w + x[v] - x[u] sums to the
+    cycle's weight, so the least down-rounded reduced weight over the
+    edges joining equal labels (over all edges otherwise) is at most every
+    cycle mean, whatever x is."""
+    lu, lv = eta[src], eta[dst]
+    counted = lu == lv if np.all(lu <= lv) else True
+    reduced = _arr_add_down(_arr_add_down(w, x[dst]), -x[src])
+    return float(reduced.min(where=counted, initial=_INF))
+
+
+def _segment_argmin(values, starts):
+    """Minimum of each segment values[starts[i]:starts[i+1]] and the index
+    of its first occurrence."""
+    lows = np.minimum.reduceat(values, starts)
+    lengths = np.diff(np.append(starts, values.size))
+    at = np.where(values == np.repeat(lows, lengths), np.arange(values.size), values.size)
+    return lows, np.minimum.reduceat(at, starts)
+
+
+def _evaluate(succ, cost):
+    """Value of the policy v -> succ[v] paying cost[v], by pointer doubling
+    in ceil(log2 n) rounds: eta[v] is the mean of the cycle that v's orbit
+    reaches, and x[v] = cost[v] - eta[v] + x[succ[v]] holds for every v
+    except each cycle's root (its smallest vertex), where x = 0.  Returns
+    eta, x and the roots."""
+    n = succ.size
+    rounds = max(1, (n - 1).bit_length())
+    jump, low = succ, np.arange(n)
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    # jump[v] lies on the cycle v's orbit reaches; low holds that cycle's
+    # smallest vertex there
+    cycle_of = low[jump]
+    roots = np.flatnonzero(cycle_of == np.arange(n))
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jump] = True
+    members = cycle_of[on_cycle]
+    mean = np.zeros(n)
+    mean[roots] = (
+        np.bincount(members, weights=cost[on_cycle], minlength=n)[roots]
+        / np.bincount(members, minlength=n)[roots]
+    )
+    eta = mean[cycle_of]
+    x = cost - eta
+    x[roots] = 0.0
+    nxt = succ.copy()
+    nxt[roots] = roots
+    for _ in range(rounds):
+        x = x + x[nxt]
+        nxt = nxt[nxt]
+    return eta, x, roots
 
 
 # ---------------------------------------------------------------------------
@@ -467,27 +413,6 @@ def brute_force_cycle_mean(graph: WeightedDigraph) -> CycleMeanResult:
     return CycleMeanResult(value, _canonical_cycle(best_cycle))
 
 
-def _certify_down(detector: _RelaxationDetector, candidate: float, floor: float) -> float:
-    """Largest tested value <= candidate that the detector certifies as a
-    lower bound for every cycle mean: the candidate itself, else one ulp
-    below, else geometrically farther down.  Falls back to the always-valid
-    floor (the minimum edge weight)."""
-    mu = candidate
-    step = 0.0
-    for _ in range(48):
-        if mu <= floor:
-            break
-        if detector.probe(mu).status == _FIXED_POINT:
-            return mu
-        if step == 0.0:
-            mu = math.nextafter(candidate, -_INF)
-            step = max(abs(candidate), 1.0) * 2.0**-50
-        else:
-            mu = sub_down(mu, step)
-            step *= 4.0
-    return floor
-
-
 def min_cycle_mean_karp(graph: WeightedDigraph) -> CycleMeanResult:
     """Minimum cycle mean via the dynamic program over exact walk lengths
     0..n, characterized as min over vertices of the max over prefix lengths
@@ -497,17 +422,16 @@ def min_cycle_mean_karp(graph: WeightedDigraph) -> CycleMeanResult:
     modest graph), the recurrence is exact and the characterization is
     evaluated in rational arithmetic, so the result is the true minimum
     mean rounded toward minus infinity.  Otherwise the nearest-arithmetic
-    candidate is certified by a down-rounded relaxation probe and lowered
-    (one ulp first, then geometrically) until it passes; either way the
-    returned value never exceeds the true minimum mean.
+    candidate mu only supplies the potentials x[v] = -min_j(D_j(v) - j mu)
+    read off the table, and the returned value is their certificate.
     """
-    detector = _RelaxationDetector(graph)
-    if graph.edge_count == 0 or _graph_is_acyclic(detector, float(graph.weight.max())):
+    if not _prune(graph).any():
         return CycleMeanResult(None, None)
 
     n = graph.num_vertices
-    src, w = detector.src, detector.w
-    targets, seg_starts = detector.targets, detector.seg_starts
+    order = np.lexsort((graph.src, graph.dst))
+    src, w = graph.src[order], graph.weight[order]
+    targets, seg_starts = np.unique(graph.dst[order], return_index=True)
 
     table = np.full((n + 1, n), _INF)
     table[0].fill(0.0)
@@ -542,39 +466,40 @@ def min_cycle_mean_karp(graph: WeightedDigraph) -> CycleMeanResult:
         value = float(best)
         if Fraction(value) > best:
             value = math.nextafter(value, -_INF)
-        witness = _karp_witness(detector, table, v_star)
-        return CycleMeanResult(value, witness)
+        return CycleMeanResult(value, _karp_witness(src, w, targets, seg_starts, table, v_star))
 
     per_vertex = np.full(cols.size, -_INF)
     for j in range(n):
         per_vertex = np.maximum(per_vertex, (last[cols] - table[j, cols]) / (n - j))
     pick = int(per_vertex.argmin())
-    candidate = float(per_vertex[pick])
-    v_star = int(cols[pick])
+    mu = float(per_vertex[pick])
+    witness = _karp_witness(src, w, targets, seg_starts, table, int(cols[pick]))
 
-    witness = _karp_witness(detector, table, v_star)
-    value = _certify_down(detector, candidate, float(w.min()))
+    lowest = table[0].copy()
+    for j in range(1, n + 1):
+        np.minimum(lowest, table[j] - j * mu, out=lowest)
+    value = _certify(graph.src, graph.dst, graph.weight, np.zeros(n), -lowest)
     return CycleMeanResult(value, witness)
 
 
-def _karp_witness(detector: _RelaxationDetector, table, v_star: int) -> list[int] | None:
+def _karp_witness(src, w, targets, seg_starts, table, v_star: int) -> list[int] | None:
     """Walk optimal predecessors back from (n, v_star); the first repeated
     vertex closes a cycle attaining the minimum mean up to rounding slack.
     Predecessors are recovered on demand from the finished table (first
     minimum in target-then-source edge order, so ties take the smallest
     source)."""
-    n = detector.n
+    n = table.shape[1]
+    seg_ends = np.append(seg_starts[1:], src.size)
     seq = [0] * (n + 1)
     seq[n] = v_star
     for j in range(n, 0, -1):
         v = seq[j]
-        t = int(np.searchsorted(detector.targets, v))
-        if t >= detector.targets.size or detector.targets[t] != v:
+        t = int(np.searchsorted(targets, v))
+        if t >= targets.size or targets[t] != v:
             return None
-        begin = int(detector.seg_starts[t])
-        end = begin + int(detector.seg_lengths[t])
-        cand = table[j - 1][detector.src[begin:end]] + detector.w[begin:end]
-        seq[j - 1] = int(detector.src[begin + int(np.argmin(cand))])
+        begin, end = int(seg_starts[t]), int(seg_ends[t])
+        cand = table[j - 1][src[begin:end]] + w[begin:end]
+        seq[j - 1] = int(src[begin + int(np.argmin(cand))])
     seen: dict[int, int] = {}
     for i, v in enumerate(seq):
         if v in seen:
@@ -583,71 +508,52 @@ def _karp_witness(detector: _RelaxationDetector, table, v_star: int) -> list[int
     return None
 
 
-def min_cycle_mean_lowmem(graph: WeightedDigraph, eps_search: float = 1e-9) -> CycleMeanResult:
-    """Minimum cycle mean by parametric search with solver state linear in
-    the vertex count (beyond the edge list itself).
+def min_cycle_mean_lowmem(graph: WeightedDigraph) -> CycleMeanResult:
+    """Minimum cycle mean by Howard policy iteration, with working memory
+    linear in the edge count.
 
-    Maintains a bracket [lo, hi]: lo is a proven lower bound for every
-    cycle mean (initially the minimum edge weight, afterwards only values
-    certified by a relaxation fixed point), and hi is a realized upper
-    bound (initially the maximum weight, afterwards the round-up mean of an
-    actual cycle).  Bisection probes the midpoint; an inconclusive probe
-    retries slightly below it, so the bracket always contains the true
-    value and the returned lo is within eps_search of it.
+    After pruning the vertices that cannot reach a cycle, each vertex keeps
+    one out-edge (its policy, initially the lightest).  Evaluation yields
+    the cycle mean eta each vertex is led to and potentials x; improvement
+    first moves vertices toward a strictly smaller eta and otherwise, among
+    edges keeping eta, to an edge that lowers w - eta + x[v] below x[u].
+    At the fixed point the labels are monotone along every edge, and the
+    returned value is the certificate of those labels and potentials.  The
+    witness is the policy cycle with the smallest eta.
     """
-    detector = _RelaxationDetector(graph)
-    if graph.edge_count == 0:
+    alive = _prune(graph)
+    if not alive.any():
         return CycleMeanResult(None, None)
-    w = detector.w
-    if _graph_is_acyclic(detector, float(w.max())):
-        return CycleMeanResult(None, None)
+    keep = alive[graph.src] & alive[graph.dst]
+    index = np.cumsum(alive) - 1
+    src, dst, w = index[graph.src[keep]], index[graph.dst[keep]], graph.weight[keep]
+    # every remaining vertex has an out-edge, so the segments are 0..m-1
+    starts = np.flatnonzero(np.diff(src, prepend=-1))
 
-    lo = float(w.min())
-    hi = float(w.max())
-    witness: list[int] | None = None
-    budget = 240
-    stall = 0
-    while hi - lo > 0.5 * eps_search and stall < 8 and budget > 0:
-        mu = 0.5 * (lo + hi)
-        if not lo < mu < hi:
-            break
-        budget -= 1
-        outcome = detector.probe(mu)
-        if outcome.upper is not None and outcome.upper < hi:
-            hi = max(outcome.upper, lo)
-            witness = _canonical_cycle(outcome.upper_cycle)
-        if outcome.status == _FIXED_POINT:
-            lo = mu
-            stall = 0
-        elif outcome.status == _NEG_CYCLE:
-            # the verified cycle's harvested mean already lowered hi; keep a
-            # safety margin in the (unreachable) case it did not
-            hi = min(hi, add_up(mu, 2.0**-40))
-            stall = 0
-        else:
-            # ambiguous cap-out: retry below the midpoint until decisive
-            step = max(0.25 * eps_search, 2.0**-44)
-            decided = False
-            for _ in range(8):
-                mu = sub_down(mu, step)
-                step *= 4.0
-                if mu <= lo or budget <= 0:
-                    break
-                budget -= 1
-                retry = detector.probe(mu)
-                if retry.upper is not None and retry.upper < hi:
-                    hi = max(retry.upper, lo)
-                    witness = _canonical_cycle(retry.upper_cycle)
-                if retry.status == _FIXED_POINT:
-                    lo = mu
-                    decided = True
-                    break
-                if retry.status == _NEG_CYCLE:
-                    hi = min(hi, add_up(mu, 2.0**-40))
-                    decided = True
-                    break
-            stall = 0 if decided else stall + 1
-    return CycleMeanResult(lo, witness)
+    policy = _segment_argmin(w, starts)[1]
+    while True:
+        eta, x, roots = _evaluate(dst[policy], w[policy])
+        eta_dst = eta[dst]
+        lows, choice = _segment_argmin(eta_dst, starts)
+        switch = lows < eta
+        if not switch.any():
+            reduced = np.where(eta_dst == eta[src], w - eta[src] + x[dst], _INF)
+            lows, choice = _segment_argmin(reduced, starts)
+            # gains within the rounding noise of the potentials would let
+            # equivalent edges swap forever; the certificate, not this
+            # threshold, carries the guarantee
+            switch = lows < x - 2.0**-44 * (1.0 + float(np.abs(x).max()))
+            if not switch.any():
+                break
+        policy = np.where(switch, choice, policy)
+
+    value = _certify(src, dst, w, eta, x)
+    succ = dst[policy].tolist()
+    root = int(roots[np.argmin(eta[roots])])
+    cycle = [root]
+    while succ[cycle[-1]] != root:
+        cycle.append(succ[cycle[-1]])
+    return CycleMeanResult(value, np.flatnonzero(alive)[cycle].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .expansivity import (
     analyze,
 )
 from .family import ParamInterval
-from .partition import subdivide_parameters
+from .partition import ParamGrid, subdivide_parameters
 from .rigor import representable
 
 __all__ = [
@@ -132,10 +132,12 @@ def _analyze_task(args) -> tuple[int, str]:
     return index, format_row(res)
 
 
-def _completed_prefix(path: str, config: SweepConfig) -> list[str]:
+def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> list[str]:
     """Rows already present in an interrupted results file: the valid
-    contiguous prefix starting at config.first (a torn final line from a
-    killed run is dropped)."""
+    contiguous prefix of [config.first, config.last) (a torn final line
+    from a killed run is dropped).  A row whose resolutions or endpoints
+    differ from this configuration's grid means the file belongs to
+    another run, and nothing is reused."""
     if not os.path.exists(path):
         return []
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -145,13 +147,21 @@ def _completed_prefix(path: str, config: SweepConfig) -> list[str]:
     rows: list[str] = []
     expect = config.first
     for line in lines[1:]:
+        if expect == config.last:
+            break
         try:
             res = parse_row(line)
         except ValueError:
             break
         if res.index != expect:
             break
-        if res.k_coarse != config.k_coarse or res.k_fine != config.k_fine:
+        omega = grid.interval(res.index)
+        if (
+            res.k_coarse != config.k_coarse
+            or res.k_fine != config.k_fine
+            or res.a_lo != omega.a_lo
+            or res.a_hi != omega.a_hi
+        ):
             return []  # file from a different configuration: start over
         rows.append(line)
         expect += 1
@@ -165,7 +175,7 @@ def run_sweep(config: SweepConfig) -> str:
     for any worker count.  Returns the output path."""
     config.validate()
     grid = subdivide_parameters(config.a_min, config.a_max, config.n)
-    done_rows = _completed_prefix(config.output_path, config)
+    done_rows = _completed_prefix(config.output_path, config, grid)
     start = config.first + len(done_rows)
 
     out_dir = os.path.dirname(os.path.abspath(config.output_path))

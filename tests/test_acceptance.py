@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete (about ten minutes on two cores; the heavyweight pieces are the
-failure-region scan and the 200-interval sweep proxy).
+complete (under two minutes on two cores; the heavyweight pieces are the
+enclosure sampling and the 200-interval sweep proxy).
 """
 
 import math

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadexp.digraph import (
     CycleMeanResult,
     WeightedDigraph,
+    _certify,
     brute_force_cycle_mean,
     build_representation,
     dump_graph,
@@ -184,9 +187,14 @@ class TestSolverExamples:
         assert abs(min_cycle_mean_lowmem(g).value - 2.0) <= 1e-9
 
     def test_acyclic(self):
-        g = WeightedDigraph.from_edges(4, [(0, 1, -1.0), (1, 2, -2.0), (2, 3, -3.0)])
-        assert min_cycle_mean_karp(g).value is None
-        assert min_cycle_mean_lowmem(g).value is None
+        for edges in (
+            [(0, 1, -1.0), (1, 2, -2.0), (2, 3, -3.0)],
+            # vertex 0 loses both out-edges in the same pruning round
+            [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 0.0)],
+        ):
+            g = WeightedDigraph.from_edges(4, edges)
+            assert min_cycle_mean_karp(g).value is None
+            assert min_cycle_mean_lowmem(g) == CycleMeanResult(None, None)
 
     def test_negative_weights(self):
         g = WeightedDigraph.from_edges(2, [(0, 1, -5.0), (1, 0, -1.0)])
@@ -232,6 +240,129 @@ class TestSolverOracle:
             assert want.value - low.value <= 1e-9
 
 
+def exact_cycle_mean(graph, cycle) -> Fraction:
+    """Exact mean weight of a cycle given by its vertices in edge order."""
+    weights = {(u, v): w for u, v, w in graph.edges()}
+    total = sum(Fraction(weights[(u, v)]) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    return total / len(cycle)
+
+
+def exact_minimum(graph) -> Fraction | None:
+    best = brute_force_cycle_mean(graph).witness_cycle
+    return None if best is None else exact_cycle_mean(graph, best)
+
+
+@st.composite
+def float_graphs(draw):
+    n = draw(st.integers(1, 6))
+    weight = st.floats(-8.0, 8.0, allow_nan=False)
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n))
+    edges = [(u, v, draw(weight)) for u, v in sorted(pairs)]
+    return WeightedDigraph.from_edges(n, edges)
+
+
+class TestCertificate:
+    @given(
+        graph=float_graphs(),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_never_above_exact_minimum(self, graph, data):
+        # any potentials and labels, monotone along the edges or not
+        n = graph.num_vertices
+        x = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+        eta = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n)))
+        want = exact_minimum(graph)
+        if want is None:
+            return
+        got = _certify(graph.src, graph.dst, graph.weight, eta, x)
+        assert Fraction(got) <= want
+
+    @given(graph=float_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_labels_restrict_to_label_classes(self, graph, data):
+        # labelling each vertex by its number of ancestors never decreases
+        # along an edge, so the edges between label classes are left out
+        n = graph.num_vertices
+        x = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+        reach = np.eye(n, dtype=bool)
+        reach[graph.src, graph.dst] = True
+        for _ in range(n):
+            reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        eta = reach.sum(axis=0).astype(float)
+        assert np.all(eta[graph.src] <= eta[graph.dst])
+        want = exact_minimum(graph)
+        if want is None:
+            return
+        got = _certify(graph.src, graph.dst, graph.weight, eta, x)
+        assert Fraction(got) <= want
+
+    def test_optimal_potentials_give_the_minimum(self):
+        # triangle of mean 2 with potentials making every reduced weight 2
+        g = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
+        x = np.array([0.0, 1.0, 1.0])
+        assert _certify(g.src, g.dst, g.weight, np.zeros(3), x) == 2.0
+
+
+class TestHoward:
+    def check(self, edges, n, want_cycle):
+        g = WeightedDigraph.from_edges(n, edges)
+        r = min_cycle_mean_lowmem(g)
+        want = exact_minimum(g)
+        assert Fraction(r.value) <= want
+        assert float(want - Fraction(r.value)) <= 1e-12
+        assert r.witness_cycle == want_cycle
+        assert exact_cycle_mean(g, r.witness_cycle) == want
+        return r
+
+    def test_several_components_with_different_means(self):
+        edges = [
+            (0, 1, 5.0), (1, 0, 5.0),                  # mean 5
+            (1, 2, 0.0),
+            (2, 3, -1.0), (3, 4, -2.0), (4, 2, 0.0),  # mean -1
+            (4, 5, 9.0),
+            (5, 6, 2.5), (6, 5, 1.5),                  # mean 2
+        ]
+        self.check(edges, 7, [2, 3, 4])
+        # the cheapest component upstream of the others
+        flipped = [(v, u, w) for u, v, w in edges]
+        self.check(flipped, 7, [2, 4, 3])
+
+    def test_dead_end_branches(self):
+        # 2 -> 3 -> 4 and 1 -> 2 lead only to the sink 4
+        edges = [(0, 1, 1.0), (1, 0, 2.0), (1, 2, -9.0), (2, 3, -9.0), (3, 4, -9.0), (0, 3, -9.0)]
+        self.check(edges, 5, [0, 1])
+
+    def test_acyclic(self):
+        for edges in (
+            [(0, 1, -1.0), (1, 2, -2.0), (2, 3, -3.0)],
+            # vertex 0 loses both out-edges in the same pruning round
+            [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 0.0)],
+        ):
+            g = WeightedDigraph.from_edges(4, edges)
+            assert min_cycle_mean_karp(g).value is None
+            assert min_cycle_mean_lowmem(g) == CycleMeanResult(None, None)
+    def test_self_loops(self):
+        edges = [(0, 0, 0.75), (0, 1, -1.0), (1, 2, 0.5), (2, 0, 1.0), (2, 2, 0.0)]
+        self.check(edges, 3, [2])
+
+    def test_minimum_unreachable_from_vertex_zero(self):
+        edges = [(0, 1, 3.0), (1, 0, 3.0), (2, 3, -2.0), (3, 2, -2.5), (3, 0, 4.0)]
+        self.check(edges, 4, [2, 3])
+
+    @given(graph=float_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_minimum(self, graph):
+        want = exact_minimum(graph)
+        r = min_cycle_mean_lowmem(graph)
+        if want is None:
+            assert r == CycleMeanResult(None, None)
+            return
+        assert Fraction(r.value) <= want
+        assert float(want - Fraction(r.value)) <= 1e-12
+        assert exact_cycle_mean(graph, r.witness_cycle) >= Fraction(r.value)
+
+
 class TestWitnesses:
     def test_witness_attains_value(self, rng):
         for _ in range(100):
@@ -251,6 +382,12 @@ class TestWitnesses:
                 mean = total / len(cyc)
                 assert mean >= Fraction(res.value)
                 assert float(mean) - r.value <= 1e-8
+
+    def test_flagship_witness_is_tight(self, flagship, flagship_delta):
+        g = build_representation(flagship, phase_partition(flagship, flagship_delta, 20000))
+        r = min_cycle_mean_lowmem(g)
+        gap = exact_cycle_mean(g, r.witness_cycle) - Fraction(r.value)
+        assert 0 <= gap <= 1e-12
 
     def test_critical_cell_not_in_witness(self):
         om = ParamInterval(0, representable("1.9999"), 2.0)

@@ -76,7 +76,10 @@ class TestDeltaBound:
         # (bit-exact: the pipeline has no randomness)
         assert flagship_delta.hex() == "0x1.9484fdf3b645cp-11"
         lam = lambda_bound(flagship, flagship_delta, 2000)
-        assert lam.hex() == "0x1.96925dd59b248p-3"
+        assert lam.hex() == "0x1.96925de477ec0p-3"
+        # the policy-iteration certificate is tighter than the earlier
+        # parametric search, never looser
+        assert lam >= float.fromhex("0x1.96925dd59b248p-3")
 
     def test_rejects_bad_delta0(self, flagship):
         with pytest.raises(ValueError):

@@ -87,6 +87,25 @@ class TestRunSweep:
         with open(full, "rb") as f1, open(str(tmp_path / "resumed.csv"), "rb") as f2:
             assert f1.read() == f2.read()
 
+    def test_resume_discards_rows_of_another_grid(self, tmp_path):
+        # same path, resolutions and index range, but a coarser grid: the
+        # earlier rows' endpoints are not this grid's and must not be kept
+        def config(name, n, last):
+            return SweepConfig(**{**FAST, "n": n}, last=last, output_path=str(tmp_path / name))
+
+        straight = run_sweep(config("straight.csv", 16, 3))
+        run_sweep(config("reused.csv", 32, 2))
+        reused = run_sweep(config("reused.csv", 16, 3))
+        with open(straight, "rb") as f1, open(reused, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_rerun_with_a_shorter_range(self, tmp_path):
+        straight = run_sweep(fast_config(tmp_path, "straight.csv", last=2))
+        run_sweep(fast_config(tmp_path, "cut.csv", last=4))
+        cut = run_sweep(fast_config(tmp_path, "cut.csv", last=2))
+        with open(straight, "rb") as f1, open(cut, "rb") as f2:
+            assert f1.read() == f2.read()
+
     def test_resume_drops_torn_final_line(self, tmp_path):
         full = run_sweep(fast_config(tmp_path, "ref.csv", last=4))
         torn = tmp_path / "torn.csv"
