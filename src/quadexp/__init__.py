@@ -42,7 +42,6 @@ from .rigor import (
     iv_add,
     iv_hull,
     iv_intersect,
-    iv_log_lo,
     iv_mul,
     iv_neg,
     iv_sqrt,
@@ -79,7 +78,6 @@ __all__ = [
     "iv_add",
     "iv_hull",
     "iv_intersect",
-    "iv_log_lo",
     "iv_mul",
     "iv_neg",
     "iv_sqrt",

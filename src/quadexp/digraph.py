@@ -37,6 +37,17 @@ import numpy as np
 
 from .family import ParamInterval, phase_domain
 from .partition import PhasePartition
+from .rigor import (
+    add_down,
+    float_down,
+    log_down,
+    mul_down,
+    mul_up,
+    sqrt_down,
+    sqrt_up,
+    sub_down,
+    sub_up,
+)
 
 __all__ = [
     "WeightedDigraph",
@@ -50,73 +61,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-
-# ---------------------------------------------------------------------------
-# elementwise directed rounding (same semantics as the scalar rigor helpers)
-
-def _arr_add_down(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return np.nextafter(s, -_INF, out=s, where=err < 0.0)
-
-
-def _arr_add_up(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return np.nextafter(s, _INF, out=s, where=err > 0.0)
-
-
-_SPLIT = 134217729.0
-
-# below this magnitude a product may have underflowed and the error-free
-# transform is unreliable; step outward unconditionally there (sound, and
-# never reached by representation-graph quantities)
-_SUBNORMAL_GUARD = 2.0**-1000
-
-
-def _arr_prod_err(a, b, p):
-    ah = a * _SPLIT
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = b * _SPLIT
-    bh = bh - (bh - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _arr_mul_down(a, b):
-    p = a * b
-    tiny = (np.abs(p) < _SUBNORMAL_GUARD) & (a != 0.0) & (b != 0.0)
-    bad = tiny | (_arr_prod_err(a, b, p) < 0.0)
-    return np.nextafter(p, -_INF, out=p, where=bad)
-
-
-def _arr_mul_up(a, b):
-    p = a * b
-    tiny = (np.abs(p) < _SUBNORMAL_GUARD) & (a != 0.0) & (b != 0.0)
-    bad = tiny | (_arr_prod_err(a, b, p) > 0.0)
-    return np.nextafter(p, _INF, out=p, where=bad)
-
-
-def _arr_sqrt_down(x):
-    r = np.sqrt(x)
-    rr = r * r
-    tiny = (rr < _SUBNORMAL_GUARD) & (x != 0.0)
-    err = _arr_prod_err(r, r, rr)
-    bad = tiny | (rr > x) | ((rr == x) & (err > 0.0))
-    return np.nextafter(r, -_INF, out=r, where=bad)
-
-
-def _arr_sqrt_up(x):
-    r = np.sqrt(x)
-    rr = r * r
-    tiny = (rr < _SUBNORMAL_GUARD) & (x != 0.0)
-    err = _arr_prod_err(r, r, rr)
-    bad = tiny | (rr < x) | ((rr == x) & (err < 0.0))
-    return np.nextafter(r, _INF, out=r, where=bad)
 
 
 def _ranges(begin, end):
@@ -219,12 +163,8 @@ def _edge_weights(omega: ParamInterval, delta: float, los, his, srcs, dsts):
     safe = np.minimum(dsts, k - 1)
     tgt_lo = np.where(is_cell, los[safe], -delta)
     tgt_hi = np.where(is_cell, his[safe], delta)
-    rad_lo = np.maximum(_arr_add_down(a_lo, -tgt_hi), 0.0)
-    rad_hi = _arr_add_up(a_hi, -tgt_lo)
-    if rad_hi.size and rad_hi.min() < 0.0:
-        raise AssertionError("edge with entirely negative preimage radicand")
-    s_lo = _arr_sqrt_down(rad_lo)
-    s_hi = _arr_sqrt_up(rad_hi)
+    s_lo = sqrt_down(np.maximum(sub_down(a_lo, tgt_hi), 0.0))
+    s_hi = sqrt_up(sub_up(a_hi, tgt_lo))
 
     src_lo = los[srcs]
     src_hi = his[srcs]
@@ -233,15 +173,9 @@ def _edge_weights(omega: ParamInterval, delta: float, los, his, srcs, dsts):
     j_hi = np.where(positive, np.minimum(src_hi, s_hi), np.minimum(src_hi, -s_lo))
     if j_lo.size and np.any(j_lo > j_hi):
         raise AssertionError("edge whose source does not meet the target preimage")
-    min_abs = np.where(positive, j_lo, -j_hi)
-
-    log = math.log
-    nxt = math.nextafter
-    return np.fromiter(
-        (nxt(log(2.0 * v), -_INF) for v in min_abs.tolist()),
-        dtype=np.float64,
-        count=min_abs.size,
-    )
+    twice_min_abs = np.where(positive, j_lo, -j_hi)
+    twice_min_abs *= 2.0
+    return log_down(twice_min_abs)
 
 
 def build_representation(omega: ParamInterval, partition: PhasePartition) -> WeightedDigraph:
@@ -260,16 +194,13 @@ def build_representation(omega: ParamInterval, partition: PhasePartition) -> Wei
     a_lo, a_hi = omega.a_lo, omega.a_hi
     dom_sup = phase_domain(omega).sup
 
-    los = np.fromiter((c.lo for c in partition.cells), dtype=np.float64, count=k)
-    his = np.fromiter((c.hi for c in partition.cells), dtype=np.float64, count=k)
+    los, his = partition.los, partition.his
 
     # parameter-uniform image enclosure of each cell, clamped to the domain
     mn = np.minimum(np.abs(los), np.abs(his))
     mx = np.maximum(np.abs(los), np.abs(his))
-    sq_lo = _arr_mul_down(mn, mn)
-    sq_hi = _arr_mul_up(mx, mx)
-    img_lo = np.maximum(_arr_add_down(a_lo, -sq_hi), -dom_sup)
-    img_hi = np.minimum(_arr_add_up(a_hi, -sq_lo), dom_sup)
+    img_lo = np.maximum(sub_down(a_lo, mul_up(mx, mx)), -dom_sup)
+    img_hi = np.minimum(sub_up(a_hi, mul_down(mn, mn)), dom_sup)
 
     # contiguous range of cells intersecting each image
     t_lo = np.searchsorted(his, img_lo, side="left")
@@ -319,7 +250,7 @@ def _certify(src, dst, w, eta, x) -> float:
     cycle mean, whatever x is."""
     lu, lv = eta[src], eta[dst]
     counted = lu == lv if np.all(lu <= lv) else True
-    reduced = _arr_add_down(_arr_add_down(w, x[dst]), -x[src])
+    reduced = sub_down(add_down(w, x[dst]), x[src])
     return float(reduced.min(where=counted, initial=_INF))
 
 
@@ -407,10 +338,7 @@ def brute_force_cycle_mean(graph: WeightedDigraph) -> CycleMeanResult:
 
     if best_mean is None:
         return CycleMeanResult(None, None)
-    value = float(best_mean)
-    if Fraction(value) > best_mean:
-        value = math.nextafter(value, -_INF)
-    return CycleMeanResult(value, _canonical_cycle(best_cycle))
+    return CycleMeanResult(float_down(best_mean), _canonical_cycle(best_cycle))
 
 
 def min_cycle_mean_karp(graph: WeightedDigraph) -> CycleMeanResult:
@@ -463,10 +391,8 @@ def min_cycle_mean_karp(graph: WeightedDigraph) -> CycleMeanResult:
             if worst is not None and (best is None or worst < best):
                 best = worst
                 v_star = col
-        value = float(best)
-        if Fraction(value) > best:
-            value = math.nextafter(value, -_INF)
-        return CycleMeanResult(value, _karp_witness(src, w, targets, seg_starts, table, v_star))
+        witness = _karp_witness(src, w, targets, seg_starts, table, v_star)
+        return CycleMeanResult(float_down(best), witness)
 
     per_vertex = np.full(cols.size, -_INF)
     for j in range(n):

@@ -45,9 +45,6 @@ class ParamInterval:
     def as_enclosure(self) -> Enclosure:
         return Enclosure(self.a_lo, self.a_hi)
 
-    def midpoint(self) -> float:
-        return (self.a_lo + self.a_hi) / 2.0
-
 
 @dataclass(frozen=True, slots=True)
 class PhaseDomain:

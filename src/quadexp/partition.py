@@ -29,8 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .family import ParamInterval, phase_domain
-from .rigor import Enclosure, RigorError
+from .rigor import RigorError
 
 __all__ = ["ParamGrid", "PhasePartition", "subdivide_parameters", "phase_partition"]
 
@@ -61,24 +63,24 @@ def subdivide_parameters(a_min: float, a_max: float, n: int) -> ParamGrid:
     return ParamGrid(n, tuple(points))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PhasePartition:
-    """k cells covering I_omega minus (-delta, delta), plus the closed
-    critical cell [-delta, delta].
+    """k cells [los[j], his[j]] covering I_omega minus (-delta, delta); the
+    closed critical cell is [-delta, delta].
 
-    Cells are sorted ascending, have pairwise disjoint interiors, and
-    adjacent cells on the same side of 0 share endpoints exactly, so the
-    covered set has no gaps.  Negative-side cells are exact negations of
-    positive-side cells.
+    ``los`` and ``his`` are read-only ascending float64 arrays.  Cells have
+    pairwise disjoint interiors, and adjacent cells on the same side of 0
+    share endpoints exactly, so the covered set has no gaps.  Negative-side
+    cells are exact negations of positive-side cells.
     """
 
     delta: float
-    cells: tuple[Enclosure, ...]
-    critical_cell: Enclosure
+    los: np.ndarray
+    his: np.ndarray
 
     @property
     def k(self) -> int:
-        return len(self.cells)
+        return self.los.size
 
 
 # share of each half's cells available to the endpoint band, and the
@@ -145,24 +147,14 @@ def phase_partition(omega: ParamInterval, delta: float, k: int) -> PhasePartitio
     if delta >= sup:
         raise ValueError(f"critical radius {delta!r} swallows the phase domain (sup {sup!r})")
     smear = max(omega.a_hi - omega.a_lo, sup * 2.0**-48)
-    b = _breakpoints(delta, sup, k, smear)
-    m = k // 2
-    cells: list[Enclosure] = []
-    for j in range(m, 0, -1):
-        cells.append(Enclosure(-b[j], -b[j - 1]))
-    for j in range(m):
-        cells.append(Enclosure(b[j], b[j + 1]))
-    return PhasePartition(delta, tuple(cells), Enclosure(-delta, delta))
+    b = np.array(_breakpoints(delta, sup, k, smear))
+    los = np.concatenate((-b[:0:-1], b[:-1]))
+    his = np.concatenate((-b[-2::-1], b[1:]))
+    los.flags.writeable = his.flags.writeable = False
+    return PhasePartition(delta, los, his)
 
 
 def breakpoint_dump(partition: PhasePartition) -> list[str]:
     """Hex-float lines of all cell boundaries in ascending order (the
     ``partition`` CLI subcommand's output)."""
-    lines = []
-    prev = None
-    for cell in partition.cells:
-        if cell.lo != prev:
-            lines.append(cell.lo.hex())
-        lines.append(cell.hi.hex())
-        prev = cell.hi
-    return lines
+    return [v.hex() for v in np.union1d(partition.los, partition.his).tolist()]

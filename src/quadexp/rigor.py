@@ -9,13 +9,20 @@ rounding direction (TwoSum for +/-, Veltkamp-Dekker splitting for *), and
 steps to the adjacent representable number only when the nearest result
 landed on the wrong side.  Exact results are therefore returned unchanged,
 and all functions are pure and safe under unrestricted concurrency.
+
+The directed primitives (``add_down`` ... ``log_down``) run one formula on
+a float (giving a float, without numpy) or elementwise on a float64 array,
+as the transforms are plain ``+ - *``.  Below 2**-1000 a product or the
+square of a root may have lost bits to underflow, so there a nonzero result
+is stepped outward unconditionally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "EMPTY",
@@ -27,7 +34,6 @@ __all__ = [
     "iv_mul",
     "iv_square",
     "iv_sqrt",
-    "iv_log_lo",
     "iv_intersect",
     "iv_hull",
     "add_down",
@@ -39,12 +45,17 @@ __all__ = [
     "sqrt_down",
     "sqrt_up",
     "log_down",
+    "float_down",
 ]
 
 _INF = math.inf
 
 # Veltkamp splitting constant for binary64 (2**27 + 1).
 _SPLIT = 134217729.0
+
+# below this magnitude a product may have underflowed, so the error-free
+# transform is unreliable and the result is stepped outward regardless
+_TINY = 2.0**-1000
 
 
 class RigorError(ValueError):
@@ -64,15 +75,31 @@ class _Empty:
 EMPTY = _Empty()
 
 
-def _two_sum_err(a: float, b: float, s: float) -> float:
+def _per_kind(x, scalar, array):
+    """scalar(x) when x is a float (or bool), array(x) when it is an array:
+    the one place that tells the two apart, so a float never meets numpy."""
+    return array(x) if isinstance(x, np.ndarray) else scalar(x)
+
+
+def _step(x, toward: float, where):
+    """x moved one ulp toward ``toward`` where ``where`` holds (in place
+    for an array)."""
+    return _per_kind(
+        x,
+        lambda v: math.nextafter(v, toward) if where else v,
+        lambda v: np.nextafter(v, toward, out=v, where=where),
+    )
+
+
+def _two_sum_err(a, b, s):
     # Knuth TwoSum: exact error of the rounded sum s = fl(a + b).
     bb = s - a
     return (a - (s - bb)) + (b - bb)
 
 
-def _two_prod_err(a: float, b: float, p: float) -> float:
+def _two_prod_err(a, b, p):
     # Dekker's product error via Veltkamp splitting; exact when p is normal
-    # and the splitting does not overflow (callers guard the subnormal zone).
+    # and the splitting does not overflow (the tiny zone is handled apart).
     ah = a * _SPLIT
     ah = ah - (ah - a)
     al = a - ah
@@ -82,98 +109,89 @@ def _two_prod_err(a: float, b: float, p: float) -> float:
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-# below this magnitude a product may have underflowed, so the error-free
-# transform is unreliable; fall back to exact rational comparison
-_SUBNORMAL_GUARD = 2.0**-1000
-
-
-def add_down(a: float, b: float) -> float:
+def add_down(a, b):
     """Largest representable number <= a + b (exact sum)."""
     s = a + b
-    if _two_sum_err(a, b, s) < 0.0:
-        s = math.nextafter(s, -_INF)
-    return s
+    return _step(s, -_INF, _two_sum_err(a, b, s) < 0.0)
 
 
-def add_up(a: float, b: float) -> float:
+def add_up(a, b):
     """Smallest representable number >= a + b (exact sum)."""
     s = a + b
-    if _two_sum_err(a, b, s) > 0.0:
-        s = math.nextafter(s, _INF)
-    return s
+    return _step(s, _INF, _two_sum_err(a, b, s) > 0.0)
 
 
-def sub_down(a: float, b: float) -> float:
+def sub_down(a, b):
     return add_down(a, -b)
 
 
-def sub_up(a: float, b: float) -> float:
+def sub_up(a, b):
     return add_up(a, -b)
 
 
-def mul_down(a: float, b: float) -> float:
+def _tiny_product(a, b, p):
+    return (abs(p) < _TINY) & (a != 0.0) & (b != 0.0)
+
+
+def mul_down(a, b):
+    """Largest representable number <= a * b; a nonzero product below
+    2**-1000 is stepped down regardless."""
     p = a * b
-    if abs(p) < _SUBNORMAL_GUARD:
-        if Fraction(p) > Fraction(a) * Fraction(b):
-            p = math.nextafter(p, -_INF)
-    elif _two_prod_err(a, b, p) < 0.0:
-        p = math.nextafter(p, -_INF)
-    return p
+    return _step(p, -_INF, _tiny_product(a, b, p) | (_two_prod_err(a, b, p) < 0.0))
 
 
-def mul_up(a: float, b: float) -> float:
+def mul_up(a, b):
+    """Smallest representable number >= a * b; a nonzero product below
+    2**-1000 is stepped up regardless."""
     p = a * b
-    if abs(p) < _SUBNORMAL_GUARD:
-        if Fraction(p) < Fraction(a) * Fraction(b):
-            p = math.nextafter(p, _INF)
-    elif _two_prod_err(a, b, p) > 0.0:
-        p = math.nextafter(p, _INF)
-    return p
+    return _step(p, _INF, _tiny_product(a, b, p) | (_two_prod_err(a, b, p) > 0.0))
 
 
-def sqrt_down(x: float) -> float:
-    """Largest representable number <= sqrt(x), for x >= 0."""
-    if x < 0.0:
+def _sqrt_nearest(x):
+    # correctly rounded square root and its exactly split square r*r = rr + err
+    if _per_kind(x < 0.0, bool, np.any):
         raise RigorError(f"sqrt of negative number {x!r}")
-    r = math.sqrt(x)
-    # math.sqrt is correctly rounded, so at most one step is needed.
+    r = _per_kind(x, math.sqrt, np.sqrt)
     rr = r * r
-    if rr < _SUBNORMAL_GUARD:
-        if Fraction(r) * Fraction(r) > Fraction(x):
-            r = math.nextafter(r, -_INF)
-        return r
-    err = _two_prod_err(r, r, rr)
-    if rr > x or (rr == x and err > 0.0):
-        r = math.nextafter(r, -_INF)
-    return r
+    return r, rr, _two_prod_err(r, r, rr), (rr < _TINY) & (x != 0.0)
 
 
-def sqrt_up(x: float) -> float:
-    """Smallest representable number >= sqrt(x), for x >= 0."""
-    if x < 0.0:
-        raise RigorError(f"sqrt of negative number {x!r}")
-    r = math.sqrt(x)
-    rr = r * r
-    if rr < _SUBNORMAL_GUARD:
-        if Fraction(r) * Fraction(r) < Fraction(x):
-            r = math.nextafter(r, _INF)
-        return r
-    err = _two_prod_err(r, r, rr)
-    if rr < x or (rr == x and err < 0.0):
-        r = math.nextafter(r, _INF)
-    return r
+def sqrt_down(x):
+    """Largest representable number <= sqrt(x), for x >= 0 (stepped down
+    regardless when the root squares below 2**-1000)."""
+    # the nearest root is within half an ulp, so at most one step is needed
+    r, rr, err, tiny = _sqrt_nearest(x)
+    return _step(r, -_INF, tiny | (rr > x) | ((rr == x) & (err > 0.0)))
 
 
-def log_down(x: float) -> float:
-    """A representable lower bound for log(x), within 2 ulp of exact.
+def sqrt_up(x):
+    """Smallest representable number >= sqrt(x), for x >= 0 (stepped up
+    regardless when the root squares below 2**-1000)."""
+    r, rr, err, tiny = _sqrt_nearest(x)
+    return _step(r, _INF, tiny | (rr < x) | ((rr == x) & (err < 0.0)))
 
-    Platform log is faithful (error < 1 ulp), so one downward step yields a
-    valid lower bound; containment is re-verified against an extended
-    precision oracle by the test suite.
+
+def log_down(x):
+    """A representable lower bound for log(x), within 2 ulp of exact, for
+    x > 0.
+
+    Rests on the platform ``math.log`` being faithful (error < 1 ulp), so
+    one downward step yields a lower bound; ``tests/test_rigor.py::
+    test_platform_log_is_faithful`` checks that against 40-digit mpmath on
+    [2**-40, 4], the range of 2 min|x| over every edge.  Arrays are mapped
+    through ``math.log`` element by element, not ``np.log``, whose own
+    accuracy that argument does not cover.
     """
-    if x <= 0.0:
+    if _per_kind(x <= 0.0, bool, np.any):
         raise RigorError(f"log requires a positive argument, got {x!r}")
-    return math.nextafter(math.log(x), -_INF)
+    logs = _per_kind(x, math.log, lambda v: np.fromiter(map(math.log, v.tolist()), np.float64, v.size))
+    return _step(logs, -_INF, True)
+
+
+def float_down(q) -> float:
+    """Largest float <= the rational q (a ``fractions.Fraction``)."""
+    value = float(q)
+    return math.nextafter(value, -_INF) if value > q else value
 
 
 def representable(value: float | int | str) -> float:
@@ -208,17 +226,6 @@ class Enclosure:
             raise RigorError(f"non-finite enclosure bound [{self.lo!r}, {self.hi!r}]")
         if self.lo > self.hi:
             raise RigorError(f"inverted enclosure [{self.lo!r}, {self.hi!r}]")
-
-    @classmethod
-    def point(cls, x: float | int | str) -> "Enclosure":
-        v = representable(x)
-        return cls(v, v)
-
-    def width(self) -> float:
-        return sub_up(self.hi, self.lo)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -266,11 +273,6 @@ def iv_sqrt(x: Enclosure) -> Enclosure:
     if x.lo < 0.0:
         raise RigorError(f"iv_sqrt of partially negative enclosure {x!r}")
     return Enclosure(sqrt_down(x.lo), sqrt_up(x.hi))
-
-
-def iv_log_lo(x: float) -> float:
-    """Down-rounded natural log of a representable number (edge weights)."""
-    return log_down(x)
 
 
 def iv_intersect(x: Enclosure, y: Enclosure) -> Enclosure | _Empty:

@@ -28,8 +28,8 @@ class CellLocator:
 
     def __init__(self, partition: PhasePartition):
         self.delta = partition.delta
-        self.los = [c.lo for c in partition.cells]
-        self.his = [c.hi for c in partition.cells]
+        self.los = partition.los.tolist()
+        self.his = partition.his.tolist()
 
     def locate(self, x: float) -> list[int]:
         if -self.delta < x < self.delta:

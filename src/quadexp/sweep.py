@@ -2,12 +2,14 @@
 ordered checkpointed CSV output, idempotent resume, and plot-data
 emission.
 
-The results file is the only state: rows are written in index order
-regardless of completion order (a reorder buffer holds out-of-order
-results), flushed every ``checkpoint_every`` rows, and a restart skips the
-contiguous prefix of already-written rows.  The file bytes are a pure
-function of the configuration minus the worker count; per-row wall time is
-therefore not recorded in sweep output (the elapsed field is left empty).
+Rows are written in index order regardless of completion order (a
+reorder buffer holds out-of-order results) and flushed every
+``checkpoint_every`` rows.  Beside the results file, ``<output>.config``
+records the settings that decide the rows' bytes; a restart with the same
+settings skips the contiguous prefix of already-written rows, and any other
+restart starts over.  The file bytes are a pure function of the
+configuration minus the worker count; per-row wall time is therefore not
+recorded in sweep output (the elapsed field is left empty).
 """
 
 from __future__ import annotations
@@ -132,16 +134,28 @@ def _analyze_task(args) -> tuple[int, str]:
     return index, format_row(res)
 
 
+def _settings(config: SweepConfig) -> str:
+    """The configuration fields that decide the rows' bytes (not the
+    worker count, index range, output path or checkpoint interval), one
+    ``name value`` line each (a float's repr reads back bit-exactly)."""
+    fields = ("a_min", "a_max", "n", "k_coarse", "k_fine", "delta0", "bisection_steps")
+    return "".join(f"{name} {getattr(config, name)!r}\n" for name in fields)
+
+
 def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> list[str]:
     """Rows already present in an interrupted results file: the valid
     contiguous prefix of [config.first, config.last) (a torn final line
-    from a killed run is dropped).  A row whose resolutions or endpoints
-    differ from this configuration's grid means the file belongs to
-    another run, and nothing is reused."""
-    if not os.path.exists(path):
+    from a killed run is dropped).  Nothing is reused when the settings
+    file beside it is missing or records other settings, or when a row's
+    resolutions or endpoints differ from this configuration's grid."""
+    try:
+        with open(path + ".config", "r", encoding="ascii", errors="replace") as fh:
+            if fh.read() != _settings(config):
+                return []
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
         return []
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         return []
     rows: list[str] = []
@@ -171,8 +185,8 @@ def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> list[s
 def run_sweep(config: SweepConfig) -> str:
     """Analyze every grid interval in the configured range, writing one CSV
     row per index in index order.  Restarting with an existing results file
-    resumes after its last complete row; the final file is byte-identical
-    for any worker count.  Returns the output path."""
+    and the same settings resumes after its last complete row; the final
+    file is byte-identical for any worker count.  Returns the output path."""
     config.validate()
     grid = subdivide_parameters(config.a_min, config.a_max, config.n)
     done_rows = _completed_prefix(config.output_path, config, grid)
@@ -181,6 +195,14 @@ def run_sweep(config: SweepConfig) -> str:
     out_dir = os.path.dirname(os.path.abspath(config.output_path))
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir!r} is not writable")
+
+    # rows of other settings are emptied before the settings file names
+    # this run's, so a kill in between cannot pass them off as this run's;
+    # a lost settings file only costs recomputation, hence no fsync
+    if not done_rows and os.path.exists(config.output_path):
+        os.truncate(config.output_path, 0)
+    with open(config.output_path + ".config", "w", encoding="ascii", newline="\n") as fh:
+        fh.write(_settings(config))
 
     def task_args(i: int):
         omega = grid.interval(i)

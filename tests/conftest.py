@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quadexp import ParamInterval, delta_bound
-from quadexp.rigor import representable
+from quadexp.rigor import Enclosure, representable
 
 
 def pytest_configure(config):
@@ -45,6 +45,16 @@ def flagship_delta(flagship):
 @pytest.fixture()
 def rng():
     return random.Random(20250810)
+
+
+def cells_of(partition):
+    """The partition's cells as enclosures, in ascending order."""
+    return [Enclosure(lo, hi) for lo, hi in zip(partition.los.tolist(), partition.his.tolist())]
+
+
+def critical_cell_of(partition):
+    """The closed critical cell [-delta, delta] as an enclosure."""
+    return Enclosure(-partition.delta, partition.delta)
 
 
 def random_int_graph(rng, max_vertices=8, weight_range=9):

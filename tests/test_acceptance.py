@@ -52,7 +52,7 @@ from quadexp.rigor import (
 )
 from quadexp.sweep import CSV_HEADER, SweepConfig, emit_plot_data, parse_row, run_sweep
 
-from conftest import random_int_graph
+from conftest import cells_of, random_int_graph
 
 mpmath.mp.dps = 40
 
@@ -288,7 +288,7 @@ def test_criterion_04_path_inequality(flagship, flagship_delta):
     partition = phase_partition(flagship, flagship_delta, 1000)
     graph = build_representation(flagship, partition)
     weights = {(u, v): w for u, v, w in graph.edges()}
-    cells = partition.cells
+    cells = cells_of(partition)
     sup = phase_domain(flagship).sup
     p_edge = fixed_point_neg(flagship).hi
 

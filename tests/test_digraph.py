@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,10 +20,10 @@ from quadexp.digraph import (
     min_cycle_mean_lowmem,
 )
 from quadexp.family import ParamInterval, deriv_log_inf, image, phase_domain, preimage
-from quadexp.partition import phase_partition
+from quadexp.partition import breakpoint_dump, phase_partition
 from quadexp.rigor import EMPTY, Enclosure, iv_intersect, representable
 
-from conftest import random_int_graph
+from conftest import cells_of, critical_cell_of, random_int_graph
 
 
 def reference_representation(omega, partition):
@@ -30,9 +31,9 @@ def reference_representation(omega, partition):
     family-module operations; must agree with the vectorized builder."""
     k = partition.k
     domain = phase_domain(omega).domain
-    vertices = list(partition.cells) + [partition.critical_cell]
+    vertices = cells_of(partition) + [critical_cell_of(partition)]
     edges = []
-    for j, cell in enumerate(partition.cells):
+    for j, cell in enumerate(cells_of(partition)):
         img = iv_intersect(image(omega, cell), domain)
         assert img is not EMPTY
         for t, target in enumerate(vertices):
@@ -79,7 +80,7 @@ class TestBuildRepresentation:
         part = phase_partition(om, 0.5, 4)
         g = build_representation(om, part)
         edges = {(u, v) for u, v, _ in g.edges()}
-        loops = [j for j, c in enumerate(part.cells) if c.lo <= 1.0 <= c.hi and (j, j) in edges]
+        loops = [j for j, c in enumerate(cells_of(part)) if c.lo <= 1.0 <= c.hi and (j, j) in edges]
         assert loops
 
     def test_critical_cell_has_no_out_edges(self):
@@ -109,7 +110,7 @@ class TestBuildRepresentation:
         part = phase_partition(om, 0.001, 200)
         g = build_representation(om, part)
         edges = {(u, v) for u, v, _ in g.edges()}
-        cells = part.cells
+        cells = cells_of(part)
         sup = phase_domain(om).sup
         hits = 0
         for _ in range(10000):
@@ -131,7 +132,7 @@ class TestBuildRepresentation:
         om = ParamInterval(0, 1.75, 1.7501)
         part = phase_partition(om, 0.01, 60)
         g = build_representation(om, part)
-        cells = list(part.cells) + [part.critical_cell]
+        cells = cells_of(part) + [critical_cell_of(part)]
         for u, v, w in g.edges():
             # sample points of the source that truly reach the target
             src, tgt = cells[u], cells[v]
@@ -423,7 +424,7 @@ class TestPathInequality:
         part = phase_partition(om, 0.005, 120)
         g = build_representation(om, part)
         weights = {(u, v): w for u, v, w in g.edges()}
-        cells = part.cells
+        cells = cells_of(part)
         sup = phase_domain(om).sup
         checked = 0
         for _ in range(200):
@@ -483,3 +484,18 @@ class TestDumpFormat:
             load_graph("vertices 2\n  0 1\n")
         with pytest.raises(ValueError, match="line 3"):
             load_graph("vertices 2\n  0 1 0x1p0\n  1 0 zzz\n")
+
+    @pytest.mark.parametrize(
+        "a_lo, a_hi, delta, k, digest",
+        [
+            ("1.9999", "2", "0.001", 1000, "acfadd3736aba02a4c5a0e4e4e81ad43da6dbb7f1af51ba73a08f281f3eb09d2"),
+            ("1.8", "1.81", "0.01", 64, "b58fa5987b146eb1074aaf63a3321a1fe619804aa38913b59ed4d5fcb760f37f"),
+        ],
+    )
+    def test_dump_bytes_are_locked(self, a_lo, a_hi, delta, k, digest):
+        # SHA-256 of the breakpoint lines plus the graph dump: any change to
+        # the rounding, the partition or the edge set moves these bytes
+        om = ParamInterval(0, representable(a_lo), representable(a_hi))
+        part = phase_partition(om, representable(delta), k)
+        text = "\n".join(breakpoint_dump(part)) + "\n" + dump_graph(build_representation(om, part))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import quadexp.expansivity as expansivity
@@ -142,18 +143,17 @@ class TestDeltaMonotonicity:
         # the exponent bound cannot decrease
         from quadexp.digraph import build_representation, min_cycle_mean_lowmem
         from quadexp.partition import PhasePartition, phase_partition
-        from quadexp.rigor import Enclosure
 
         part = phase_partition(flagship, 0.0005, 400)
         m = part.k // 2
         base = min_cycle_mean_lowmem(build_representation(flagship, part)).value
-        cells = part.cells
+        los, his = part.los, part.his
         for strip in (1, 2, 3):
-            inner_hi = cells[m + strip - 1].hi
+            inner_hi = float(his[m + strip - 1])
             nested = PhasePartition(
                 inner_hi,
-                cells[: m - strip] + cells[m + strip:],
-                Enclosure(-inner_hi, inner_hi),
+                np.concatenate((los[: m - strip], los[m + strip:])),
+                np.concatenate((his[: m - strip], his[m + strip:])),
             )
             wider = min_cycle_mean_lowmem(build_representation(flagship, nested)).value
             assert wider is None or wider >= base - 2e-9

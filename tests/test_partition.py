@@ -11,6 +11,8 @@ from quadexp.partition import (
 )
 from quadexp.rigor import representable
 
+from conftest import cells_of, critical_cell_of
+
 
 class TestParamGrid:
     def test_endpoints_exact(self):
@@ -53,15 +55,16 @@ class TestParamGrid:
 class TestPhasePartition:
     def test_k2_single_cells(self):
         part = phase_partition(ParamInterval(0, 1.0, 2.0), 1.0, 2)
-        assert len(part.cells) == 2
+        cells = cells_of(part)
+        assert len(cells) == 2
         sup = phase_domain(ParamInterval(0, 1.0, 2.0)).sup
-        assert part.cells[0].lo == -sup and part.cells[0].hi == -1.0
-        assert part.cells[1].lo == 1.0 and part.cells[1].hi == sup
+        assert cells[0].lo == -sup and cells[0].hi == -1.0
+        assert cells[1].lo == 1.0 and cells[1].hi == sup
 
     def test_k4_geometric_breakpoints(self):
         # sup of the domain for a in [1, 2] is 2, so ratio (p/delta) = 2 per half
         part = phase_partition(ParamInterval(0, 1.0, 2.0), 1.0, 4)
-        pos = [c for c in part.cells if c.lo > 0]
+        pos = [c for c in cells_of(part) if c.lo > 0]
         bps = [pos[0].lo, pos[0].hi, pos[1].hi]
         assert bps[0] == 1.0 and bps[2] == 2.0
         assert abs(bps[1] - math.sqrt(2.0) * 1.0) <= 4 * math.ulp(2.0)
@@ -70,14 +73,15 @@ class TestPhasePartition:
         om = ParamInterval(0, 1.8, 1.81)
         part = phase_partition(om, 0.001, 100)
         assert part.k == 100
-        assert part.critical_cell.lo == -0.001 and part.critical_cell.hi == 0.001
+        critical = critical_cell_of(part)
+        assert critical.lo == -0.001 and critical.hi == 0.001
 
     def test_coverage_sampling(self):
         rng = random.Random(23)
         om = ParamInterval(0, representable("1.9999"), 2.0)
         part = phase_partition(om, 0.001, 500)
         sup = phase_domain(om).sup
-        cells = part.cells
+        cells = cells_of(part)
         for _ in range(10000):
             x = rng.uniform(0.001, sup) * (1 if rng.random() < 0.5 else -1)
             assert any(c.lo <= x <= c.hi for c in cells), x
@@ -86,7 +90,8 @@ class TestPhasePartition:
         om = ParamInterval(0, 1.7, 1.71)
         part = phase_partition(om, 0.01, 64)
         m = part.k // 2
-        neg, pos = part.cells[:m], part.cells[m:]
+        cells = cells_of(part)
+        neg, pos = cells[:m], cells[m:]
         for a, b in zip(pos, pos[1:]):
             assert a.hi == b.lo
         for a, b in zip(neg, neg[1:]):
@@ -98,9 +103,10 @@ class TestPhasePartition:
         om = ParamInterval(0, 1.6, 1.62)
         part = phase_partition(om, 0.005, 40)
         m = part.k // 2
+        cells = cells_of(part)
         for j in range(m):
-            mirror = part.cells[m - 1 - j]
-            cell = part.cells[m + j]
+            mirror = cells[m - 1 - j]
+            cell = cells[m + j]
             assert mirror.lo == -cell.hi and mirror.hi == -cell.lo
 
     def test_validation(self):
@@ -115,7 +121,7 @@ class TestPhasePartition:
     def test_no_cell_contains_zero_interior(self):
         om = ParamInterval(0, 1.9, 1.91)
         part = phase_partition(om, 1e-6, 2000)
-        for c in part.cells:
+        for c in cells_of(part):
             assert not (c.lo < 0.0 < c.hi)
 
 
@@ -127,7 +133,8 @@ class TestBreakpointDump:
         values = [float.fromhex(s) for s in lines]
         assert len(values) == part.k + 2
         assert values == sorted(values)
-        assert values[0] == part.cells[0].lo
-        assert values[-1] == part.cells[-1].hi
+        cells = cells_of(part)
+        assert values[0] == cells[0].lo
+        assert values[-1] == cells[-1].hi
         # both critical-cell boundaries appear
         assert -0.01 in values and 0.01 in values

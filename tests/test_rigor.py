@@ -1,8 +1,10 @@
 import concurrent.futures
 import math
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,10 @@ from quadexp.rigor import (
     RigorError,
     add_down,
     add_up,
+    float_down,
     iv_add,
     iv_hull,
     iv_intersect,
-    iv_log_lo,
     iv_mul,
     iv_neg,
     iv_sqrt,
@@ -28,6 +30,8 @@ from quadexp.rigor import (
     representable,
     sqrt_down,
     sqrt_up,
+    sub_down,
+    sub_up,
 )
 
 mpmath.mp.dps = 50
@@ -127,22 +131,22 @@ class TestEnclosureBasics:
             iv_sqrt(Enclosure(-1.0, 1.0))
 
     def test_log_one(self):
-        v = iv_log_lo(1.0)
+        v = log_down(1.0)
         assert v <= 0.0
         assert ulps_apart(v, 0.0) <= 1
 
     def test_log_e(self):
         # float e is below the real e, so the bound stays below 1
-        v = iv_log_lo(math.e)
+        v = log_down(math.e)
         assert v <= 1.0
         assert mpmath.mpf(v) <= mpmath.log(mpmath.mpf(math.e))
         assert ulps_apart(v, 1.0) <= 2
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(RigorError):
-            iv_log_lo(0.0)
+            log_down(0.0)
         with pytest.raises(RigorError):
-            iv_log_lo(-1.0)
+            log_down(-1.0)
 
     def test_intersect(self):
         assert iv_intersect(Enclosure(0.0, 2.0), Enclosure(1.0, 3.0)) == Enclosure(1.0, 2.0)
@@ -274,3 +278,78 @@ def test_property_containment_sqrt(a, t):
     r = iv_sqrt(x)
     # r.lo <= sqrt(p) <= r.hi, exactly, via squaring (bounds are nonnegative)
     assert Fraction(r.lo) ** 2 <= Fraction(p) <= Fraction(r.hi) ** 2
+
+
+class TestArrayPath:
+    """Every directed primitive takes float64 arrays through the scalar
+    formula: each element encloses the exact result and equals the scalar
+    call on that element bit for bit, and a scalar call returns a float."""
+
+    # normal and exact products, zeros, and products below 2**-1000 (one
+    # exact, one subnormal, one underflowing to zero)
+    A = [1.0 / 3.0, -0.1, 1.5, 0.5, 0.0, -0.0, 3.0, 1e-160, -(2.0**-520), 1e-200, 7.25, -2.0]
+    B = [0.7, 0.3, 2.0, 0.25, 5.0, -1.0, 0.0, 1e-160, 2.0**-490, -1e-200, -(2.0**-60), 1e300]
+    ROOTS = [2.0, 4.0, 2.25, 0.0, 0.1, 1e-310, 2.0**-1020, 2.0**-998, 1e300, 7.0]
+    LOGS = [1.0, math.e, 2.0**-40, 4.0, 0.3, 1.0 + 2.0**-52]
+
+    @staticmethod
+    def _check(f, args, exact, below, of=Fraction):
+        out = f(*(np.array(a) for a in args))
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        for i, got in enumerate(out.tolist()):
+            scalar = f(*(a[i] for a in args))
+            assert type(scalar) is float
+            assert got.hex() == scalar.hex(), (f.__name__, i)
+            want = exact(*(a[i] for a in args))
+            assert (of(got) <= want) if below else (of(got) >= want), (f.__name__, i)
+
+    def test_sums(self):
+        plus = lambda a, b: Fraction(a) + Fraction(b)  # noqa: E731
+        minus = lambda a, b: Fraction(a) - Fraction(b)  # noqa: E731
+        self._check(add_down, (self.A, self.B), plus, True)
+        self._check(add_up, (self.A, self.B), plus, False)
+        self._check(sub_down, (self.A, self.B), minus, True)
+        self._check(sub_up, (self.A, self.B), minus, False)
+
+    def test_products(self):
+        times = lambda a, b: Fraction(a) * Fraction(b)  # noqa: E731
+        self._check(mul_down, (self.A, self.B), times, True)
+        self._check(mul_up, (self.A, self.B), times, False)
+        # below 2**-1000 even an exact product is stepped outward
+        assert mul_down(2.0**-520, 2.0**-490) < 2.0**-1010 < mul_up(2.0**-520, 2.0**-490)
+        assert mul_down(1e-200, 1e-200) < 0.0 < mul_up(1e-200, 1e-200)
+
+    def test_square_roots(self):
+        square = lambda r: Fraction(r) ** 2  # noqa: E731
+        self._check(sqrt_down, (self.ROOTS,), Fraction, True, of=square)
+        self._check(sqrt_up, (self.ROOTS,), Fraction, False, of=square)
+        assert sqrt_down(2.0**-1020) < 2.0**-510 < sqrt_up(2.0**-1020)
+        with pytest.raises(RigorError):
+            sqrt_down(np.array([1.0, -1.0]))
+
+    def test_logs(self):
+        exact = lambda x: mpmath.log(mpmath.mpf(x))  # noqa: E731
+        self._check(log_down, (self.LOGS,), exact, True, of=mpmath.mpf)
+        with pytest.raises(RigorError):
+            log_down(np.array([1.0, 0.0]))
+
+    def test_float_down(self):
+        assert float_down(Fraction(1, 3)) < Fraction(1, 3)
+        assert float_down(Fraction(3, 4)) == 0.75
+        assert math.nextafter(float_down(Fraction(-1, 3)), math.inf) > Fraction(-1, 3)
+
+
+def test_platform_log_is_faithful():
+    """log_down steps math.log down once, which is a lower bound exactly
+    when math.log is within 1 ulp of log(x); checked on log-uniform samples
+    over [2**-40, 4] (every 2 min|x| an edge weight can take) against
+    40-digit mpmath."""
+    rng = random.Random(40)
+    xs = [2.0**-40, 4.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+    xs += [2.0 ** rng.uniform(-40.0, 2.0) for _ in range(20000)]
+    with mpmath.workdps(40):
+        for x in xs:
+            got = math.log(x)
+            exact = mpmath.log(mpmath.mpf(x))
+            assert mpmath.mpf(math.nextafter(got, -math.inf)) < exact, x
+            assert exact < mpmath.mpf(math.nextafter(got, math.inf)), x

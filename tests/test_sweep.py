@@ -112,9 +112,36 @@ class TestRunSweep:
         with open(full) as fh:
             lines = fh.read().splitlines()
         torn.write_text("\n".join(lines[:3]) + "\n" + lines[3][:17])
+        # the settings file marks the rows as this configuration's
+        (tmp_path / "torn.csv.config").write_bytes((tmp_path / "ref.csv.config").read_bytes())
         run_sweep(fast_config(tmp_path, "torn.csv", last=4))
         with open(full, "rb") as f1, open(torn, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_resume_discards_rows_of_another_radius(self, tmp_path):
+        # delta0 is not in the CSV; rows computed with another one must not
+        # be kept (they would carry that run's radius)
+        def config(name, delta0):
+            return SweepConfig(
+                **{**FAST, "k_coarse": 1000, "k_fine": 2000, "delta0": delta0},
+                last=2,
+                output_path=str(tmp_path / name),
+            )
+
+        straight = run_sweep(config("straight.csv", representable("0.0009")))
+        run_sweep(config("reused.csv", representable("0.001")))
+        reused = run_sweep(config("reused.csv", representable("0.0009")))
+        with open(straight) as fh:
+            assert parse_row(fh.read().splitlines()[1]).delta_bar.hex() == "0x1.95810624dd2f2p-11"
+        with open(straight, "rb") as f1, open(reused, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_settings_file_records_what_decides_the_rows(self, tmp_path):
+        cfg = fast_config(tmp_path, "s.csv", last=1)
+        run_sweep(cfg)
+        text = (tmp_path / "s.csv.config").read_text()
+        assert "delta0 0.001\nbisection_steps 6\n" in text
+        assert "workers" not in text and "s.csv" not in text
 
     def test_panic_recorded_and_continues(self, tmp_path, monkeypatch):
         real = sweep_mod.analyze
