@@ -26,29 +26,9 @@ from .expansivity import (
     delta_bound,
     lambda_bound,
 )
-from .family import (
-    ParamInterval,
-    PhaseDomain,
-    deriv_log_inf,
-    fixed_point_neg,
-    image,
-    phase_domain,
-    preimage,
-)
+from .family import ParamInterval
 from .partition import ParamGrid, PhasePartition, phase_partition, subdivide_parameters
-from .rigor import (
-    EMPTY,
-    Enclosure,
-    iv_add,
-    iv_hull,
-    iv_intersect,
-    iv_mul,
-    iv_neg,
-    iv_sqrt,
-    iv_square,
-    iv_sub,
-    representable,
-)
+from .rigor import representable
 from .sweep import SweepConfig, emit_plot_data, run_sweep
 
 __version__ = "0.1.0"
@@ -57,11 +37,8 @@ __all__ = [
     "AnalysisResult",
     "CycleMeanResult",
     "DeltaBound",
-    "EMPTY",
-    "Enclosure",
     "ParamGrid",
     "ParamInterval",
-    "PhaseDomain",
     "PhasePartition",
     "Status",
     "SweepConfig",
@@ -70,26 +47,13 @@ __all__ = [
     "brute_force_cycle_mean",
     "build_representation",
     "delta_bound",
-    "deriv_log_inf",
     "dump_graph",
     "emit_plot_data",
-    "fixed_point_neg",
-    "image",
-    "iv_add",
-    "iv_hull",
-    "iv_intersect",
-    "iv_mul",
-    "iv_neg",
-    "iv_sqrt",
-    "iv_square",
-    "iv_sub",
     "lambda_bound",
     "load_graph",
     "min_cycle_mean_karp",
     "min_cycle_mean_lowmem",
-    "phase_domain",
     "phase_partition",
-    "preimage",
     "representable",
     "run_sweep",
     "subdivide_parameters",

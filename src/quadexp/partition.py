@@ -37,17 +37,18 @@ from .rigor import RigorError
 __all__ = ["ParamGrid", "PhasePartition", "subdivide_parameters", "phase_partition"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ParamGrid:
-    """Ordered subdivision points theta_0 .. theta_N of [a_min, a_max]."""
+    """Ordered subdivision points theta_0 .. theta_N of [a_min, a_max], a
+    read-only float64 array."""
 
     n: int
-    points: tuple[float, ...]
+    points: np.ndarray
 
     def interval(self, i: int) -> ParamInterval:
         if not 0 <= i < self.n:
             raise IndexError(f"grid interval index {i} out of range [0, {self.n})")
-        return ParamInterval(i, self.points[i], self.points[i + 1])
+        return ParamInterval(i, float(self.points[i]), float(self.points[i + 1]))
 
 
 def subdivide_parameters(a_min: float, a_max: float, n: int) -> ParamGrid:
@@ -55,12 +56,13 @@ def subdivide_parameters(a_min: float, a_max: float, n: int) -> ParamGrid:
         raise ValueError(f"need at least one interval, got n={n}")
     if not a_min < a_max:
         raise ValueError(f"empty parameter range [{a_min!r}, {a_max!r}]")
-    d = a_max - a_min
-    points = []
-    for i in range(n + 1):
-        g = math.gcd(i, n)
-        points.append(a_min + ((i // g) * d) / (n // g))
-    return ParamGrid(n, tuple(points))
+    # int64 quotients below 2**53 convert to float64 exactly, so each
+    # element takes the formula's three rounded steps
+    i = np.arange(n + 1, dtype=np.int64)
+    g = np.gcd(i, n)
+    points = a_min + ((i // g) * (a_max - a_min)) / (n // g)
+    points.flags.writeable = False
+    return ParamGrid(n, points)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

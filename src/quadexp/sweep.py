@@ -1,23 +1,29 @@
 """Batch driver over a range of grid intervals: dynamic work queue,
-ordered checkpointed CSV output, idempotent resume, and plot-data
+ordered checkpointed CSV output, resume by appending, and plot-data
 emission.
 
-Rows are written in index order regardless of completion order (a
-reorder buffer holds out-of-order results) and flushed every
-``checkpoint_every`` rows.  Beside the results file, ``<output>.config``
-records the settings that decide the rows' bytes; a restart with the same
-settings skips the contiguous prefix of already-written rows, and any other
-restart starts over.  The file bytes are a pure function of the
-configuration minus the worker count; per-row wall time is therefore not
-recorded in sweep output (the elapsed field is left empty).
+One process-pool loop serves every worker count (even one worker
+analyzes in a child process), keeping four tasks per worker in flight; a
+reorder buffer holds out-of-order results, rows are written in index
+order and flushed every ``checkpoint_every`` rows, and the workers exit
+when the sweep's process dies.  Beside the results file,
+``<output>.config`` records the settings that decide the rows' bytes; a
+restart with the same settings truncates the file just past its
+contiguous prefix of complete rows and appends after it (kept rows are
+never rewritten); any other restart starts over.  The file bytes are a
+pure function of the configuration minus the worker count, so per-row
+wall time is not recorded (the elapsed field is left empty).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import sys
+import threading
+import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 
 from .expansivity import (
     DEFAULT_BISECTION_STEPS,
@@ -121,17 +127,28 @@ def parse_row(line: str, lineno: int = 0) -> AnalysisResult:
     return AnalysisResult(index, a_lo, a_hi, status, delta, lam, k_coarse, k_fine, elapsed)
 
 
-def _analyze_task(args) -> tuple[int, str]:
-    index, a_lo, a_hi, k_fine, delta0, steps, k_coarse = args
-    omega = ParamInterval(index, a_lo, a_hi)
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once the sweep's process is gone
+    (a killed sweep cannot shut its pool down)."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _analyze_task(omega: ParamInterval, config: SweepConfig) -> tuple[int, str]:
     try:
-        res = analyze(omega, k_fine, delta0, steps, k_coarse)
+        res = analyze(omega, config.k_fine, config.delta0, config.bisection_steps, config.k_coarse)
     except Exception as exc:  # a panic in one interval must not kill the sweep
-        print(f"analysis of interval {index} failed: {exc!r}", file=sys.stderr)
+        print(f"analysis of interval {omega.index} failed: {exc!r}", file=sys.stderr)
         res = AnalysisResult(
-            index, a_lo, a_hi, Status.ERROR, None, None, k_coarse, k_fine, 0
+            omega.index, omega.a_lo, omega.a_hi, Status.ERROR, None, None,
+            config.k_coarse, config.k_fine, 0,
         )
-    return index, format_row(res)
+    return omega.index, format_row(res)
 
 
 def _settings(config: SweepConfig) -> str:
@@ -142,128 +159,90 @@ def _settings(config: SweepConfig) -> str:
     return "".join(f"{name} {getattr(config, name)!r}\n" for name in fields)
 
 
-def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> list[str]:
-    """Rows already present in an interrupted results file: the valid
-    contiguous prefix of [config.first, config.last) (a torn final line
-    from a killed run is dropped).  Nothing is reused when the settings
-    file beside it is missing or records other settings, or when a row's
-    resolutions or endpoints differ from this configuration's grid."""
+def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> tuple[int, int]:
+    """Rows to keep from an interrupted results file: how many complete
+    rows open it as a valid contiguous prefix of [first, last), and the
+    byte offset just past the last of them; (0, 0) keeps nothing.  Nothing
+    is kept when the settings file beside it is missing or records other
+    settings, or when a row's resolutions or endpoints are not this grid's."""
     try:
         with open(path + ".config", "r", encoding="ascii", errors="replace") as fh:
             if fh.read() != _settings(config):
-                return []
-        with open(path, "r", encoding="ascii", errors="replace") as fh:
-            lines = fh.read().splitlines()
+                return 0, 0
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        return []
-    if not lines or lines[0] != CSV_HEADER:
-        return []
-    rows: list[str] = []
-    expect = config.first
-    for line in lines[1:]:
-        if expect == config.last:
-            break
+        return 0, 0
+    header = (CSV_HEADER + "\n").encode("ascii")
+    if not data.startswith(header):
+        return 0, 0
+    offset = len(header)
+    kept = 0
+    for index in range(config.first, config.last):
+        end = data.find(b"\n", offset)
+        if end < 0:
+            break  # a torn final line from a killed run
         try:
-            res = parse_row(line)
+            res = parse_row(data[offset:end].decode("ascii"))
         except ValueError:
             break
-        if res.index != expect:
+        if res.index != index:
             break
-        omega = grid.interval(res.index)
+        omega = grid.interval(index)
         if (
             res.k_coarse != config.k_coarse
             or res.k_fine != config.k_fine
             or res.a_lo != omega.a_lo
             or res.a_hi != omega.a_hi
         ):
-            return []  # file from a different configuration: start over
-        rows.append(line)
-        expect += 1
-    return rows
+            return 0, 0  # file from a different configuration: start over
+        kept += 1
+        offset = end + 1
+    return kept, offset if kept else 0
 
 
 def run_sweep(config: SweepConfig) -> str:
     """Analyze every grid interval in the configured range, writing one CSV
     row per index in index order.  Restarting with an existing results file
-    and the same settings resumes after its last complete row; the final
+    and the same settings appends after its last complete row; the final
     file is byte-identical for any worker count.  Returns the output path."""
     config.validate()
     grid = subdivide_parameters(config.a_min, config.a_max, config.n)
-    done_rows = _completed_prefix(config.output_path, config, grid)
-    start = config.first + len(done_rows)
+    kept, offset = _completed_prefix(config.output_path, config, grid)
+    start = config.first + kept
+    todo = iter(range(start, config.last))
+    next_index = start
 
-    out_dir = os.path.dirname(os.path.abspath(config.output_path))
-    if not os.access(out_dir, os.W_OK):
-        raise OSError(f"output directory {out_dir!r} is not writable")
+    with open(config.output_path, "a", encoding="ascii", newline="\n") as out:
+        # rows of other settings are emptied before the settings file names
+        # this run's, so a kill in between cannot pass them off as this
+        # run's; a lost settings file only costs recomputation, hence no fsync
+        out.truncate(offset)
+        with open(config.output_path + ".config", "w", encoding="ascii", newline="\n") as fh:
+            fh.write(_settings(config))
+        if offset == 0:
+            out.write(CSV_HEADER + "\n")
 
-    # rows of other settings are emptied before the settings file names
-    # this run's, so a kill in between cannot pass them off as this run's;
-    # a lost settings file only costs recomputation, hence no fsync
-    if not done_rows and os.path.exists(config.output_path):
-        os.truncate(config.output_path, 0)
-    with open(config.output_path + ".config", "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_settings(config))
-
-    def task_args(i: int):
-        omega = grid.interval(i)
-        return (
-            i,
-            omega.a_lo,
-            omega.a_hi,
-            config.k_fine,
-            config.delta0,
-            config.bisection_steps,
-            config.k_coarse,
-        )
-
-    with open(config.output_path, "w", encoding="ascii", newline="\n") as out:
-        out.write(CSV_HEADER + "\n")
-        for line in done_rows:
-            out.write(line + "\n")
-        out.flush()
-
-        pending = list(range(start, config.last))
-        next_index = start
         buffered: dict[int, str] = {}
-        written_since_flush = 0
-
-        def drain() -> None:
-            nonlocal next_index, written_since_flush
-            while next_index in buffered:
-                out.write(buffered.pop(next_index) + "\n")
-                next_index += 1
-                written_since_flush += 1
-                if written_since_flush >= config.checkpoint_every:
-                    out.flush()
-                    os.fsync(out.fileno())
-                    written_since_flush = 0
-
-        if config.workers == 1:
-            for i in pending:
-                buffered[i] = _analyze_task(task_args(i))[1]
-                drain()
-        else:
-            window = config.workers * 4
-            with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-                inflight = set()
-                it = iter(pending)
-                for i in it:
-                    inflight.add(pool.submit(_analyze_task, task_args(i)))
-                    if len(inflight) >= window:
-                        break
-                while inflight:
-                    finished, inflight = concurrent.futures.wait(
-                        inflight, return_when=concurrent.futures.FIRST_COMPLETED
-                    )
-                    for fut in finished:
-                        idx, row = fut.result()
-                        buffered[idx] = row
-                    drain()
-                    for i in it:
-                        inflight.add(pool.submit(_analyze_task, task_args(i)))
-                        if len(inflight) >= window:
-                            break
-        drain()
+        running: set = set()
+        with ProcessPoolExecutor(
+            config.workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
+        ) as pool:
+            while True:
+                running |= {
+                    pool.submit(_analyze_task, grid.interval(i), config)
+                    for i in islice(todo, 4 * config.workers - len(running))
+                }
+                if not running:
+                    break
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                buffered.update(fut.result() for fut in done)
+                while next_index in buffered:
+                    out.write(buffered.pop(next_index) + "\n")
+                    next_index += 1
+                    if (next_index - start) % config.checkpoint_every == 0:
+                        out.flush()
+                        os.fsync(out.fileno())
         out.flush()
         os.fsync(out.fileno())
     if next_index != config.last:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadexp.family import ParamInterval, phase_domain
@@ -37,11 +38,23 @@ class TestParamGrid:
         for i, p in enumerate(coarse.points):
             assert fine.points[2 * i] == p
 
+    @pytest.mark.parametrize("n", [1, 7, 6000, 60000, 120000])
+    def test_points_match_the_formula_bit_for_bit(self, n):
+        a_min, a_max = representable("1.4"), 2.0
+        expect = []
+        for i in range(n + 1):
+            g = math.gcd(i, n)
+            expect.append(a_min + ((i // g) * (a_max - a_min)) / (n // g))
+        points = subdivide_parameters(a_min, a_max, n).points
+        assert points.dtype == np.float64 and not points.flags.writeable
+        assert [p.hex() for p in points.tolist()] == [p.hex() for p in expect]
+
     def test_interval_accessor(self):
         g = subdivide_parameters(representable("1.4"), 2.0, 100)
         om = g.interval(7)
         assert om.index == 7
         assert om.a_lo == g.points[7] and om.a_hi == g.points[8]
+        assert type(om.a_lo) is float and type(om.a_hi) is float
         with pytest.raises(IndexError):
             g.interval(100)
 

@@ -1,4 +1,9 @@
+import glob
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -33,6 +38,32 @@ def fast_config(tmp_path, name, first=0, last=4, workers=1):
         output_path=str(tmp_path / name),
         **FAST,
     )
+
+
+class Interrupted(BaseException):
+    """Escapes the per-interval error handling, as an interrupt would."""
+
+
+def _stat_fields(pid) -> list[str]:
+    """Fields of /proc/<pid>/stat after the command name (state first,
+    then the parent pid); empty once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _children(pid: int) -> list[int]:
+    return [
+        int(path.split("/")[2])
+        for path in glob.glob("/proc/[0-9]*/stat")
+        if _stat_fields(path.split("/")[2])[1:2] == [str(pid)]
+    ]
+
+
+def _alive(pid: int) -> bool:
+    return _stat_fields(pid)[:1] not in ([], ["Z"])
 
 
 class TestRowFormat:
@@ -135,6 +166,58 @@ class TestRunSweep:
             assert parse_row(fh.read().splitlines()[1]).delta_bar.hex() == "0x1.95810624dd2f2p-11"
         with open(straight, "rb") as f1, open(reused, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_failed_resume_keeps_the_written_rows(self, tmp_path, monkeypatch):
+        path = run_sweep(fast_config(tmp_path, "kept.csv", last=2))
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        def interrupted(omega, *args, **kwargs):
+            raise Interrupted
+
+        monkeypatch.setattr(sweep_mod, "analyze", interrupted)
+        with pytest.raises(Interrupted):
+            run_sweep(fast_config(tmp_path, "kept.csv", last=4))
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_exit_when_the_sweep_is_killed(self, tmp_path):
+        out = tmp_path / "killed.csv"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "quadexp.cli", "sweep",
+                "--first", "59000", "--last", "60000",
+                "--k-coarse", "400", "--k-fine", "800", "--steps", "8",
+                "--workers", "2", "--checkpoint-every", "1",
+                "--output", str(out),
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.time() + 120
+            while time.time() < deadline and proc.poll() is None:
+                if out.exists() and len(out.read_bytes().splitlines()) >= 3:  # header + >= 2 rows
+                    break
+                time.sleep(0.05)
+            assert proc.poll() is None, "the sweep ended before it could be killed"
+            workers = _children(proc.pid)
+            assert workers
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            deadline = time.time() + 5
+            while time.time() < deadline and any(_alive(pid) for pid in workers):
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_settings_file_records_what_decides_the_rows(self, tmp_path):
         cfg = fast_config(tmp_path, "s.csv", last=1)
