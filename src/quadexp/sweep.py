@@ -5,8 +5,10 @@ emission.
 One process-pool loop serves every worker count (even one worker
 analyzes in a child process), keeping four tasks per worker in flight; a
 reorder buffer holds out-of-order results, rows are written in index
-order and flushed every ``checkpoint_every`` rows, and the workers exit
-when the sweep's process dies.  Beside the results file,
+order and flushed every ``checkpoint_every`` rows.  Workers are always
+forked, whatever the platform's default start method, so they see the
+sweep's module state (a patched ``analyze`` included) and can exit when
+the sweep's process dies.  Beside the results file,
 ``<output>.config`` records the settings that decide the rows' bytes; a
 restart with the same settings truncates the file just past its
 contiguous prefix of complete rows and appends after it (kept rows are
@@ -17,6 +19,7 @@ wall time is not recorded (the elapsed field is left empty).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import threading
@@ -128,8 +131,8 @@ def parse_row(line: str, lineno: int = 0) -> AnalysisResult:
 
 
 def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker once the sweep's process is gone
-    (a killed sweep cannot shut its pool down)."""
+    """Pool initializer of a forked worker: exit once its parent, the
+    sweep's process, is gone (a killed sweep cannot shut its pool down)."""
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -189,11 +192,8 @@ def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> tuple[
         if res.index != index:
             break
         omega = grid.interval(index)
-        if (
-            res.k_coarse != config.k_coarse
-            or res.k_fine != config.k_fine
-            or res.a_lo != omega.a_lo
-            or res.a_hi != omega.a_hi
+        if (res.k_coarse, res.k_fine, res.a_lo, res.a_hi) != (
+            config.k_coarse, config.k_fine, omega.a_lo, omega.a_hi
         ):
             return 0, 0  # file from a different configuration: start over
         kept += 1
@@ -225,8 +225,9 @@ def run_sweep(config: SweepConfig) -> str:
 
         buffered: dict[int, str] = {}
         running: set = set()
+        fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            config.workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
+            config.workers, fork, initializer=_exit_with_parent, initargs=(os.getpid(),)
         ) as pool:
             while True:
                 running |= {

@@ -1,4 +1,5 @@
 import glob
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -171,15 +172,25 @@ class TestRunSweep:
         path = run_sweep(fast_config(tmp_path, "kept.csv", last=2))
         with open(path, "rb") as fh:
             before = fh.read()
+        modes = []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if file == path:
+                modes.append(mode)
+            return open(file, mode, *args, **kwargs)
 
         def interrupted(omega, *args, **kwargs):
             raise Interrupted
 
+        monkeypatch.setattr(sweep_mod, "open", recording_open, raising=False)
         monkeypatch.setattr(sweep_mod, "analyze", interrupted)
         with pytest.raises(Interrupted):
             run_sweep(fast_config(tmp_path, "kept.csv", last=4))
         with open(path, "rb") as fh:
             assert fh.read() == before
+        # the kept rows are appended after, never rewritten: a kill while
+        # they were being written again would lose them
+        assert modes and not [m for m in modes if "w" in m]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_workers_exit_when_the_sweep_is_killed(self, tmp_path):
@@ -241,6 +252,19 @@ class TestRunSweep:
         assert [r.index for r in rows] == [0, 1, 2]
         assert rows[1].status is Status.ERROR
         assert rows[0].status is not Status.ERROR
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver"
+    )
+    def test_workers_ignore_the_default_start_method(self, tmp_path, monkeypatch):
+        # forkserver is Linux's default from Python 3.14; the workers must
+        # still see a patched analyze and survive their parent watcher
+        saved = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            self.test_panic_recorded_and_continues(tmp_path, monkeypatch)
+        finally:
+            multiprocessing.set_start_method(saved, force=True)
 
     def test_unwritable_output_aborts(self, tmp_path):
         cfg = fast_config(tmp_path / "missing-dir", "x.csv")
