@@ -192,7 +192,7 @@ def build_representation(omega: ParamInterval, partition: PhasePartition) -> Wei
     k = partition.k
     delta = partition.delta
     a_lo, a_hi = omega.a_lo, omega.a_hi
-    dom_sup = phase_domain(omega).sup
+    dom_sup = phase_domain(omega)
 
     los, his = partition.los, partition.his
 

@@ -28,6 +28,7 @@ __all__ = [
     "lambda_bound",
     "delta_bound",
     "analyze",
+    "check_settings",
     "DEFAULT_DELTA0",
     "DEFAULT_BISECTION_STEPS",
     "DEFAULT_K_COARSE",
@@ -88,6 +89,20 @@ def _validate(omega: ParamInterval) -> None:
         raise ValueError(
             f"parameter interval [{omega.a_lo!r}, {omega.a_hi!r}] outside (0, 2]"
         )
+
+
+def check_settings(k_coarse: int, k_fine: int, delta0: float, steps: int) -> None:
+    """Raise ValueError for analysis settings that no interval can run
+    with: a cell count that is odd or below 2, an initial radius that is
+    not positive and finite, or a negative number of bisection steps.
+    Callers check before doing any work, so a bad setting fails at once."""
+    for name, k in (("coarse", k_coarse), ("fine", k_fine)):
+        if k < 2 or k % 2 != 0:
+            raise ValueError(f"{name} cell count must be even and >= 2, got {k}")
+    if not 0.0 < delta0 < math.inf:
+        raise ValueError(f"initial radius must be positive and finite, got {delta0!r}")
+    if steps < 0:
+        raise ValueError(f"bisection steps must be >= 0, got {steps}")
 
 
 def lambda_bound(omega: ParamInterval, delta: float, k: int) -> float | None:
@@ -163,6 +178,7 @@ def analyze(
     """
     start = time.perf_counter()
     _validate(omega)
+    check_settings(k_coarse, k_fine, delta0, steps)
 
     def done(status, d=None, lam=None):
         elapsed = int(round((time.perf_counter() - start) * 1000.0))

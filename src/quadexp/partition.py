@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -93,7 +94,13 @@ _TOP_SHARE = 3
 _TOP_FLOOR = 1.5
 
 
-def _breakpoints(delta: float, sup: float, k: int, smear: float) -> list[float]:
+def _pow_each(base: float, exponents: np.ndarray) -> np.ndarray:
+    # math.pow, not np.power: the two differ in the last bit on some inputs,
+    # and the breakpoints (hence every certified bound) are pinned to math.pow
+    return np.fromiter(map(math.pow, repeat(base), exponents.tolist()), np.float64, exponents.size)
+
+
+def _breakpoints(delta: float, sup: float, k: int, smear: float) -> np.ndarray:
     # Positive-side boundaries delta = b_0 < ... < b_m = sup.  Inner band
     # geometric in x (b_j ~ delta * r^j); outer band geometric in u = sup-x
     # from sup/8 down to the resolution floor, with its cell count capped so
@@ -116,27 +123,19 @@ def _breakpoints(delta: float, sup: float, k: int, smear: float) -> list[float]:
         m_top = 0
         knee = sup
 
-    points = [delta]
+    # b_0 = delta and, with an outer band, its first point is the knee
     m_geo = m - m_top
-    ratio = knee / delta
-    for j in range(1, m_geo):
-        t = delta * math.pow(ratio, j / m_geo)
-        points.append(min(max(t, points[-1]), sup))
-    if m_top == 0:
-        points.append(sup)
-    else:
-        points.append(knee)
-        shrink = u_min / u_max
-        for j in range(1, m_top):
-            t = sup - u_max * math.pow(shrink, j / (m_top - 1))
-            points.append(min(max(t, points[-1]), sup))
-        points.append(sup)
-    for a, b in zip(points, points[1:]):
-        if not a < b:
-            raise RigorError(
-                f"degenerate phase partition: breakpoints {a!r} and {b!r} collide "
-                f"(k={k} too large for [{delta!r}, {sup!r}])"
-            )
+    bands = [delta * _pow_each(knee / delta, np.arange(m_geo) / m_geo)]
+    if m_top:
+        bands.append(sup - u_max * _pow_each(u_min / u_max, np.arange(m_top) / (m_top - 1)))
+    points = np.minimum(np.maximum.accumulate(np.concatenate(bands + [[sup]])), sup)
+    collide = np.flatnonzero(points[:-1] >= points[1:])
+    if collide.size:
+        a, b = points[collide[0] : collide[0] + 2].tolist()
+        raise RigorError(
+            f"degenerate phase partition: breakpoints {a!r} and {b!r} collide "
+            f"(k={k} too large for [{delta!r}, {sup!r}])"
+        )
     return points
 
 
@@ -145,11 +144,11 @@ def phase_partition(omega: ParamInterval, delta: float, k: int) -> PhasePartitio
         raise ValueError(f"critical radius must be positive, got {delta!r}")
     if k < 2 or k % 2 != 0:
         raise ValueError(f"cell count must be even and >= 2, got {k}")
-    sup = phase_domain(omega).sup
+    sup = phase_domain(omega)
     if delta >= sup:
         raise ValueError(f"critical radius {delta!r} swallows the phase domain (sup {sup!r})")
     smear = max(omega.a_hi - omega.a_lo, sup * 2.0**-48)
-    b = np.array(_breakpoints(delta, sup, k, smear))
+    b = _breakpoints(delta, sup, k, smear)
     los = np.concatenate((-b[:0:-1], b[:-1]))
     his = np.concatenate((-b[-2::-1], b[1:]))
     los.flags.writeable = his.flags.writeable = False

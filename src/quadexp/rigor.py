@@ -1,41 +1,31 @@
-"""Outward-rounded interval arithmetic on binary64 numbers.
+"""Directed rounding on binary64 numbers, for floats and float64 arrays.
 
-Every operation returns an enclosure of the exact real result set, so any
-quantity derived downstream (image intervals, derivative bounds, cycle
-means) is a mathematically valid bound.  Directed rounding is realized
-without touching the FPU rounding mode: each primitive computes the
+Each primitive (``add_down`` ... ``log_down``) returns a representable
+bound on the exact real result from the named side, so any quantity built
+from them downstream (image intervals, derivative bounds, cycle means) is a
+mathematically valid bound.  Directed rounding is realized without
+touching the FPU rounding mode: each primitive computes the
 round-to-nearest result together with an error-free indicator of the
 rounding direction (TwoSum for +/-, Veltkamp-Dekker splitting for *), and
 steps to the adjacent representable number only when the nearest result
 landed on the wrong side.  Exact results are therefore returned unchanged,
 and all functions are pure and safe under unrestricted concurrency.
 
-The directed primitives (``add_down`` ... ``log_down``) run one formula on
-a float (giving a float, without numpy) or elementwise on a float64 array,
-as the transforms are plain ``+ - *``.  Below 2**-1000 a product or the
-square of a root may have lost bits to underflow, so there a nonzero result
-is stepped outward unconditionally.
+Every primitive runs one formula on a float (giving a float, without
+numpy) or elementwise on a float64 array, as the transforms are plain
+``+ - *``.  Below 2**-1000 a product or the square of a root may have lost
+bits to underflow, so there a nonzero result is stepped outward
+unconditionally.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EMPTY",
-    "Enclosure",
     "representable",
-    "iv_add",
-    "iv_sub",
-    "iv_neg",
-    "iv_mul",
-    "iv_square",
-    "iv_sqrt",
-    "iv_intersect",
-    "iv_hull",
     "add_down",
     "add_up",
     "sub_down",
@@ -61,18 +51,6 @@ _TINY = 2.0**-1000
 class RigorError(ValueError):
     """Raised when an operation's precondition is violated or a bound
     leaves the finite range."""
-
-
-class _Empty:
-    """Distinguished empty-enclosure value (result of a void intersection)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "EMPTY"
-
-
-EMPTY = _Empty()
 
 
 def _per_kind(x, scalar, array):
@@ -211,81 +189,3 @@ def representable(value: float | int | str) -> float:
     if not math.isfinite(result):
         raise RigorError(f"non-finite value {value!r}")
     return result
-
-
-@dataclass(frozen=True, slots=True)
-class Enclosure:
-    """Closed interval [lo, hi] of binary64 numbers containing an exact
-    real quantity."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise RigorError(f"non-finite enclosure bound [{self.lo!r}, {self.hi!r}]")
-        if self.lo > self.hi:
-            raise RigorError(f"inverted enclosure [{self.lo!r}, {self.hi!r}]")
-
-    def __repr__(self) -> str:
-        return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def iv_add(x: Enclosure, y: Enclosure) -> Enclosure:
-    return Enclosure(add_down(x.lo, y.lo), add_up(x.hi, y.hi))
-
-
-def iv_sub(x: Enclosure, y: Enclosure) -> Enclosure:
-    return Enclosure(sub_down(x.lo, y.hi), sub_up(x.hi, y.lo))
-
-
-def iv_neg(x: Enclosure) -> Enclosure:
-    # Negation of representable numbers is exact.
-    return Enclosure(-x.hi, -x.lo)
-
-
-def iv_mul(x: Enclosure, y: Enclosure) -> Enclosure:
-    lo = min(
-        mul_down(x.lo, y.lo),
-        mul_down(x.lo, y.hi),
-        mul_down(x.hi, y.lo),
-        mul_down(x.hi, y.hi),
-    )
-    hi = max(
-        mul_up(x.lo, y.lo),
-        mul_up(x.lo, y.hi),
-        mul_up(x.hi, y.lo),
-        mul_up(x.hi, y.hi),
-    )
-    return Enclosure(lo, hi)
-
-
-def iv_square(x: Enclosure) -> Enclosure:
-    if x.lo <= 0.0 <= x.hi:
-        m = max(-x.lo, x.hi)
-        return Enclosure(0.0, mul_up(m, m))
-    if x.lo > 0.0:
-        return Enclosure(mul_down(x.lo, x.lo), mul_up(x.hi, x.hi))
-    return Enclosure(mul_down(x.hi, x.hi), mul_up(x.lo, x.lo))
-
-
-def iv_sqrt(x: Enclosure) -> Enclosure:
-    if x.lo < 0.0:
-        raise RigorError(f"iv_sqrt of partially negative enclosure {x!r}")
-    return Enclosure(sqrt_down(x.lo), sqrt_up(x.hi))
-
-
-def iv_intersect(x: Enclosure, y: Enclosure) -> Enclosure | _Empty:
-    lo = max(x.lo, y.lo)
-    hi = min(x.hi, y.hi)
-    if lo > hi:
-        return EMPTY
-    return Enclosure(lo, hi)
-
-
-def iv_hull(x: Enclosure | _Empty, y: Enclosure | _Empty) -> Enclosure | _Empty:
-    if isinstance(x, _Empty):
-        return y
-    if isinstance(y, _Empty):
-        return x
-    return Enclosure(min(x.lo, y.lo), max(x.hi, y.hi))

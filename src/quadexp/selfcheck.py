@@ -15,8 +15,9 @@ from random import Random
 from typing import TextIO
 
 from .digraph import build_representation
-from .family import ParamInterval, fixed_point_neg, phase_domain
+from .family import ParamInterval, phase_domain
 from .partition import PhasePartition, phase_partition
+from .rigor import add_down, mul_down, sqrt_down
 
 CRITICAL = -1
 
@@ -85,7 +86,7 @@ def run_selfcheck(
     partition = phase_partition(omega, delta, k)
     graph = build_representation(omega, partition)
     locator = CellLocator(partition)
-    sup = phase_domain(omega).sup
+    sup = phase_domain(omega)
     edges = {(u, v): w for u, v, w in graph.edges()}
     ok = True
 
@@ -122,7 +123,8 @@ def run_selfcheck(
     report("edges", missing == 0, f"{missing} unmatched transitions of 2000")
 
     # path inequality: accumulated log-derivative dominates matched weight
-    p_lo = fixed_point_neg(ParamInterval(0, omega.a_lo, omega.a_lo)).hi
+    # up-rounded p_a at a = a_lo: starts orbits inside every I_a
+    p_lo = -mul_down(0.5, add_down(1.0, sqrt_down(add_down(1.0, mul_down(4.0, omega.a_lo)))))
     violations = 0
     used = 0
     for _ in range(orbits):

@@ -36,6 +36,7 @@ from .expansivity import (
     AnalysisResult,
     Status,
     analyze,
+    check_settings,
 )
 from .family import ParamInterval
 from .partition import ParamGrid, subdivide_parameters
@@ -80,6 +81,7 @@ class SweepConfig:
             raise ValueError("need at least one worker")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint interval must be positive")
+        check_settings(self.k_coarse, self.k_fine, self.delta0, self.bisection_steps)
 
 
 def _hex(x: float | None) -> str:

@@ -1,9 +1,10 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
 from quadexp import ParamInterval, delta_bound
-from quadexp.rigor import Enclosure, representable
+from quadexp.rigor import representable
 
 
 def pytest_configure(config):
@@ -47,14 +48,19 @@ def rng():
     return random.Random(20250810)
 
 
+class Cell(NamedTuple):
+    lo: float
+    hi: float
+
+
 def cells_of(partition):
-    """The partition's cells as enclosures, in ascending order."""
-    return [Enclosure(lo, hi) for lo, hi in zip(partition.los.tolist(), partition.his.tolist())]
+    """The partition's cells [lo, hi], in ascending order."""
+    return [Cell(lo, hi) for lo, hi in zip(partition.los.tolist(), partition.his.tolist())]
 
 
 def critical_cell_of(partition):
-    """The closed critical cell [-delta, delta] as an enclosure."""
-    return Enclosure(-partition.delta, partition.delta)
+    """The closed critical cell [-delta, delta]."""
+    return Cell(-partition.delta, partition.delta)
 
 
 def random_int_graph(rng, max_vertices=8, weight_range=9):

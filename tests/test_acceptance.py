@@ -18,6 +18,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from mpmath import iv
 
 from quadexp.digraph import (
     WeightedDigraph,
@@ -27,28 +28,19 @@ from quadexp.digraph import (
     min_cycle_mean_lowmem,
 )
 from quadexp.expansivity import Status, analyze, lambda_bound
-from quadexp.family import (
-    ParamInterval,
-    deriv_log_inf,
-    fixed_point_neg,
-    image,
-    phase_domain,
-    preimage,
-)
+from quadexp.family import ParamInterval, phase_domain
 from quadexp.partition import phase_partition, subdivide_parameters
 from quadexp.rigor import (
-    EMPTY,
-    Enclosure,
-    iv_add,
-    iv_hull,
-    iv_intersect,
-    iv_mul,
-    iv_neg,
-    iv_sqrt,
-    iv_square,
-    iv_sub,
+    add_down,
+    add_up,
     log_down,
+    mul_down,
+    mul_up,
     representable,
+    sqrt_down,
+    sqrt_up,
+    sub_down,
+    sub_up,
 )
 from quadexp.sweep import CSV_HEADER, SweepConfig, emit_plot_data, parse_row, run_sweep
 
@@ -194,40 +186,18 @@ def test_criterion_03_enclosure_soundness():
     rng = random.Random(3)
     N = 100000
 
-    def enc(span=8.0):
-        a = rng.uniform(-span, span)
-        b = rng.uniform(-span, span)
-        return Enclosure(min(a, b), max(a, b))
-
-    def pick(x):
-        return min(max(x.lo + (x.hi - x.lo) * rng.random(), x.lo), x.hi)
-
+    # directed sums, differences and products against exact rationals
     for _ in range(N):
-        x, y = enc(), enc()
-        px, py = pick(x), pick(y)
-        fx, fy = Fraction(px), Fraction(py)
-        r = iv_add(x, y)
-        assert Fraction(r.lo) <= fx + fy <= Fraction(r.hi)
-        r = iv_sub(x, y)
-        assert Fraction(r.lo) <= fx - fy <= Fraction(r.hi)
-        r = iv_neg(x)
-        assert Fraction(r.lo) <= -fx <= Fraction(r.hi)
-        r = iv_mul(x, y)
-        assert Fraction(r.lo) <= fx * fy <= Fraction(r.hi)
-        r = iv_square(x)
-        assert Fraction(r.lo) <= fx * fx <= Fraction(r.hi)
-        inter = iv_intersect(x, y)
-        if x.lo <= py <= x.hi and y.lo <= py <= y.hi:
-            assert inter is not EMPTY and inter.lo <= py <= inter.hi
-        h = iv_hull(x, y)
-        assert h.lo <= px <= h.hi and h.lo <= py <= h.hi
+        a, b = rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)
+        fa, fb = Fraction(a), Fraction(b)
+        assert Fraction(add_down(a, b)) <= fa + fb <= Fraction(add_up(a, b))
+        assert Fraction(sub_down(a, b)) <= fa - fb <= Fraction(sub_up(a, b))
+        assert Fraction(mul_down(a, b)) <= fa * fb <= Fraction(mul_up(a, b))
 
+    # square roots by exact squaring, logs against 40-digit mpmath
     for _ in range(N):
-        lo = abs(rng.uniform(0, 15.0))
-        x = Enclosure(lo, lo + rng.uniform(0, 1.0))
-        p = pick(x)
-        r = iv_sqrt(x)
-        assert Fraction(r.lo) ** 2 <= Fraction(p) <= Fraction(r.hi) ** 2
+        p = rng.uniform(0.0, 16.0)
+        assert Fraction(sqrt_down(p)) ** 2 <= Fraction(p) <= Fraction(sqrt_up(p)) ** 2
         if p > 0:
             assert mpmath.mpf(log_down(p)) <= mpmath.log(mpmath.mpf(p))
 
@@ -239,48 +209,23 @@ def test_criterion_03_enclosure_soundness():
         for neighbor in (math.nextafter(f, -math.inf), math.nextafter(f, math.inf)):
             assert abs(Fraction(f) - exact) <= abs(Fraction(neighbor) - exact)
 
-    # family operations
+    # the phase-domain bound: -p_a = (1 + sqrt(1 + 4a)) / 2 <= sup for
+    # every a in omega, checked exactly as (2 sup - 1)^2 >= 1 + 4a
     for _ in range(N):
         a_lo = rng.uniform(1.4, 2.0)
         a_hi = min(2.0, a_lo + rng.uniform(0, 0.01))
-        omega = ParamInterval(0, a_lo, a_hi)
-        a = rng.uniform(a_lo, a_hi)
-        fa = Fraction(a)
-
-        p = fixed_point_neg(omega)
-        pa_sq_arg = 1 + 4 * fa
-        # p_a = -(1 + sqrt(1+4a))/2 lies in [p.lo, p.hi]: compare via squares
-        lo_expr = -(2 * Fraction(p.lo) + 1)  # = sqrt(1+4a) if p.lo were exact
-        hi_expr = -(2 * Fraction(p.hi) + 1)
-        assert lo_expr >= 0 and lo_expr * lo_expr >= pa_sq_arg
-        assert hi_expr >= 0 and hi_expr * hi_expr <= pa_sq_arg
-
-        d = phase_domain(omega).domain
-        assert Fraction(d.lo) <= Fraction(p.lo)
-        assert Fraction(d.hi) == -Fraction(d.lo)
-
-        x = rng.uniform(-1.9, 1.9)
-        xe = Enclosure(x, x + rng.uniform(0, 0.1))
-        t = pick(xe)
-        r = image(omega, xe)
-        assert Fraction(r.lo) <= fa - Fraction(t) ** 2 <= Fraction(r.hi)
-
-        if xe.lo > 0 or xe.hi < 0:
-            v = deriv_log_inf(xe)
-            assert mpmath.mpf(v) <= mpmath.log(abs(2 * mpmath.mpf(t)))
-
-        # the exact preimages +-sqrt(a - y) of a representable target point
-        # must land in the returned branches (checked by exact squaring)
-        y = float(fa - Fraction(t) ** 2)
-        radicand = fa - Fraction(y)
-        if radicand >= 0:
-            neg, pos = preimage(omega, Enclosure(y, y))
-            assert pos is not EMPTY and neg is not EMPTY
-            assert Fraction(pos.lo) ** 2 <= radicand <= Fraction(pos.hi) ** 2
-            assert Fraction(neg.hi) ** 2 <= radicand <= Fraction(neg.lo) ** 2
+        sup = Fraction(phase_domain(ParamInterval(0, a_lo, a_hi)))
+        assert (2 * sup - 1) ** 2 >= 1 + 4 * Fraction(rng.uniform(a_lo, a_hi))
 
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"criterion 3 took {elapsed:.1f}s"
+
+
+def fixed_point_hi(omega):
+    """Upper end of the negative fixed points p_a over omega, rounded on
+    mpmath.iv at 53 bits: orbits started in (p, -p) stay in every I_a."""
+    iv.prec = 53
+    return float((-(1 + iv.sqrt(1 + 4 * iv.mpf([omega.a_lo, omega.a_hi]))) / 2).b)
 
 
 @criterion("4. path inequality along 100 matched orbits (k=1000)")
@@ -289,8 +234,8 @@ def test_criterion_04_path_inequality(flagship, flagship_delta):
     graph = build_representation(flagship, partition)
     weights = {(u, v): w for u, v, w in graph.edges()}
     cells = cells_of(partition)
-    sup = phase_domain(flagship).sup
-    p_edge = fixed_point_neg(flagship).hi
+    sup = phase_domain(flagship)
+    p_edge = fixed_point_hi(flagship)
 
     rng = random.Random(4)
     checked = 0
@@ -326,8 +271,8 @@ def test_criterion_05_certificate_soundness():
         max_w = float(np.abs(graph.weight).max())
         lam = res.lambda_bar
         B = (2000 + 1) * (max_w + abs(lam))
-        sup = phase_domain(omega).sup
-        p_edge = fixed_point_neg(omega).hi
+        sup = phase_domain(omega)
+        p_edge = fixed_point_hi(omega)
 
         qualifying = 0
         attempts = 0

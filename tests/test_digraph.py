@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from quadexp.digraph import (
     CycleMeanResult,
@@ -19,38 +20,40 @@ from quadexp.digraph import (
     min_cycle_mean_karp,
     min_cycle_mean_lowmem,
 )
-from quadexp.family import ParamInterval, deriv_log_inf, image, phase_domain, preimage
+from quadexp.family import ParamInterval, phase_domain
 from quadexp.partition import breakpoint_dump, phase_partition
-from quadexp.rigor import EMPTY, Enclosure, iv_intersect, representable
+from quadexp.rigor import representable
 
 from conftest import cells_of, critical_cell_of, random_int_graph
 
 
 def reference_representation(omega, partition):
-    """Scalar re-implementation of the graph construction straight from the
-    family-module operations; must agree with the vectorized builder."""
-    k = partition.k
-    domain = phase_domain(omega).domain
+    """The graph construction cell by cell on mpmath.iv, a substrate that
+    shares no code with quadexp.rigor and at 53 bits rounds + - * sqrt
+    outward exactly as the directed primitives do.  Returns the domain bound
+    sup and the edges (source, target, oracle) in (source, target) order;
+    oracle is log(2 min|x|) over the part of the source that can reach the
+    target, rounded down at 53 bits."""
+    iv.prec = 53
+    a = iv.mpf([omega.a_lo, omega.a_hi])
+    sup = float(((1 + iv.sqrt(1 + 4 * a)) / 2).b)
     vertices = cells_of(partition) + [critical_cell_of(partition)]
     edges = []
-    for j, cell in enumerate(cells_of(partition)):
-        img = iv_intersect(image(omega, cell), domain)
-        assert img is not EMPTY
-        for t, target in enumerate(vertices):
-            if iv_intersect(img, target) is EMPTY:
+    for j, (lo, hi) in enumerate(vertices[:-1]):
+        img = a - iv.mpf([lo, hi]) ** 2
+        img_lo, img_hi = max(img.a, -sup), min(img.b, sup)
+        for t, (t_lo, t_hi) in enumerate(vertices):
+            if t_hi < img_lo or img_hi < t_lo:
                 continue
-            best = None
-            for branch in preimage(omega, target):
-                if branch is EMPTY:
-                    continue
-                piece = iv_intersect(cell, branch)
-                if piece is EMPTY:
-                    continue
-                w = deriv_log_inf(piece)
-                best = w if best is None else min(best, w)
-            assert best is not None, "edge without a realizable slice"
-            edges.append((j, t, best))
-    return WeightedDigraph.from_edges(k + 1, edges)
+            radicand = a - iv.mpf([t_lo, t_hi])
+            root = iv.sqrt(iv.mpf([max(radicand.a, 0), radicand.b]))
+            if lo > 0:
+                piece = (max(lo, root.a), min(hi, root.b))
+            else:
+                piece = (max(lo, -root.b), min(hi, -root.a))
+            assert piece[0] <= piece[1], "edge without a realizable slice"
+            edges.append((j, t, float(iv.log(2 * min(abs(piece[0]), abs(piece[1]))).a)))
+    return sup, edges
 
 
 class TestGraphContainer:
@@ -97,12 +100,15 @@ class TestBuildRepresentation:
             om = ParamInterval(0, a_lo, a_hi)
             part = phase_partition(om, delta, k)
             got = build_representation(om, part)
-            want = reference_representation(om, part)
-            assert got.num_vertices == want.num_vertices
-            assert got.edge_count == want.edge_count
-            assert np.array_equal(got.src, want.src)
-            assert np.array_equal(got.dst, want.dst)
-            assert np.array_equal(got.weight, want.weight)
+            sup, edges = reference_representation(om, part)
+            assert phase_domain(om) == sup
+            src, dst, oracle = (np.array(column) for column in zip(*edges))
+            assert got.num_vertices == k + 1
+            assert np.array_equal(got.src, src)
+            assert np.array_equal(got.dst, dst)
+            # log_down's documented bound: at most 2 ulp below log
+            two_ulp_up = np.nextafter(np.nextafter(got.weight, np.inf), np.inf)
+            assert np.all(got.weight <= oracle) and np.all(oracle <= two_ulp_up)
 
     def test_transition_sampling(self):
         rng = random.Random(29)
@@ -111,7 +117,7 @@ class TestBuildRepresentation:
         g = build_representation(om, part)
         edges = {(u, v) for u, v, _ in g.edges()}
         cells = cells_of(part)
-        sup = phase_domain(om).sup
+        sup = phase_domain(om)
         hits = 0
         for _ in range(10000):
             a = rng.uniform(om.a_lo, om.a_hi)
@@ -425,7 +431,7 @@ class TestPathInequality:
         g = build_representation(om, part)
         weights = {(u, v): w for u, v, w in g.edges()}
         cells = cells_of(part)
-        sup = phase_domain(om).sup
+        sup = phase_domain(om)
         checked = 0
         for _ in range(200):
             a = rng.uniform(om.a_lo, om.a_hi)

@@ -107,6 +107,11 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(ParamInterval(0, 2.5, 2.6))
 
+    def test_bad_settings_fail_before_any_solve(self, flagship, monkeypatch):
+        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="even"):
+            analyze(flagship, k_fine=2001)
+
     def test_fine_partition_artifact(self, flagship, monkeypatch):
         monkeypatch.setattr(
             expansivity, "lambda_bound", lambda omega, delta, k: 0.5 if k == 200 else -0.125

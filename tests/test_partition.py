@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,7 +11,7 @@ from quadexp.partition import (
     phase_partition,
     subdivide_parameters,
 )
-from quadexp.rigor import representable
+from quadexp.rigor import RigorError, representable
 
 from conftest import cells_of, critical_cell_of
 
@@ -70,7 +71,7 @@ class TestPhasePartition:
         part = phase_partition(ParamInterval(0, 1.0, 2.0), 1.0, 2)
         cells = cells_of(part)
         assert len(cells) == 2
-        sup = phase_domain(ParamInterval(0, 1.0, 2.0)).sup
+        sup = phase_domain(ParamInterval(0, 1.0, 2.0))
         assert cells[0].lo == -sup and cells[0].hi == -1.0
         assert cells[1].lo == 1.0 and cells[1].hi == sup
 
@@ -93,7 +94,7 @@ class TestPhasePartition:
         rng = random.Random(23)
         om = ParamInterval(0, representable("1.9999"), 2.0)
         part = phase_partition(om, 0.001, 500)
-        sup = phase_domain(om).sup
+        sup = phase_domain(om)
         cells = cells_of(part)
         for _ in range(10000):
             x = rng.uniform(0.001, sup) * (1 if rng.random() < 0.5 else -1)
@@ -110,7 +111,7 @@ class TestPhasePartition:
         for a, b in zip(neg, neg[1:]):
             assert a.hi == b.lo
         assert pos[0].lo == 0.01 and neg[-1].hi == -0.01
-        assert pos[-1].hi == phase_domain(om).sup
+        assert pos[-1].hi == phase_domain(om)
 
     def test_negative_cells_are_exact_negations(self):
         om = ParamInterval(0, 1.6, 1.62)
@@ -130,6 +131,8 @@ class TestPhasePartition:
             phase_partition(om, 0.0, 10)
         with pytest.raises(ValueError):
             phase_partition(om, 5.0, 10)  # swallows the domain
+        with pytest.raises(RigorError, match="collide"):
+            phase_partition(om, math.nextafter(phase_domain(om), 0.0), 4)
 
     def test_no_cell_contains_zero_interior(self):
         om = ParamInterval(0, 1.9, 1.91)
@@ -151,3 +154,17 @@ class TestBreakpointDump:
         assert values[-1] == cells[-1].hi
         # both critical-cell boundaries appear
         assert -0.01 in values and 0.01 in values
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (4, "727612403f9964abf016466f17e9e352936e442abaf48a29697a62242e025f19"),
+            (20000, "1e112196ba1908e9be58c33528a6da5f239548c8e5e79829378abcd29cff1579"),
+            (80000, "7bdbc44de0125a7f7f029b75aa7fc29bdb6873a5e31d1d0d38e5016dddce8aaa"),
+        ],
+    )
+    def test_breakpoint_bytes_are_locked(self, flagship, k, digest):
+        # k = 4 has no endpoint band; at 20000 and 80000 the band is capped
+        # by the parameter smear
+        text = "\n".join(breakpoint_dump(phase_partition(flagship, 0.001, k))) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

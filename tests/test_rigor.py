@@ -10,20 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadexp.rigor import (
-    EMPTY,
-    Enclosure,
     RigorError,
     add_down,
     add_up,
     float_down,
-    iv_add,
-    iv_hull,
-    iv_intersect,
-    iv_mul,
-    iv_neg,
-    iv_sqrt,
-    iv_square,
-    iv_sub,
     log_down,
     mul_down,
     mul_up,
@@ -83,52 +73,49 @@ class TestRepresentable:
 
 
 class TestEnclosureBasics:
-    def test_inverted_rejected(self):
-        with pytest.raises(RigorError):
-            Enclosure(2.0, 1.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(RigorError):
-            Enclosure(0.0, math.inf)
+    """Worked examples: each pair (f_down, f_up) of directed primitives
+    encloses the exact result, returns an exact result unchanged, and
+    brackets an inexact one by adjacent floats."""
 
     def test_add_example(self):
-        r = iv_add(Enclosure(1.0, 2.0), Enclosure(3.0, 4.0))
-        assert r.lo <= 4.0 <= 6.0 <= r.hi
-        assert ulps_apart(r.lo, 4.0) <= 1 and ulps_apart(6.0, r.hi) <= 1
+        lo, hi = add_down(0.1, 0.2), add_up(0.1, 0.2)
+        assert Fraction(lo) < Fraction(0.1) + Fraction(0.2) < Fraction(hi)
+        assert math.nextafter(lo, math.inf) == hi
 
     def test_add_identity_bounds_unchanged(self):
-        x = Enclosure(0.1, 0.7)
-        r = iv_add(Enclosure(0.0, 0.0), x)
-        assert r.lo == x.lo and r.hi == x.hi
+        for x in (0.1, 0.7, -3.25):
+            assert add_down(0.0, x) == x == add_up(0.0, x)
 
     def test_neg_exact(self):
-        assert iv_neg(Enclosure(-1.5, 2.5)) == Enclosure(-2.5, 1.5)
-
-    def test_square_spanning_zero(self):
-        r = iv_square(Enclosure(-2.0, 1.0))
-        assert r.lo == 0.0
-        assert r.hi >= 4.0 and ulps_apart(4.0, r.hi) <= 1
+        assert sub_down(0.0, 1.5) == -1.5 == sub_up(0.0, 1.5)
+        assert sub_down(0.0, -2.5) == 2.5 == sub_up(0.0, -2.5)
 
     def test_square_positive(self):
-        r = iv_square(Enclosure(0.5, 0.6))
-        assert r.lo <= 0.25 and r.hi >= 0.36
-        assert ulps_apart(r.lo, 0.25) <= 1
+        assert mul_down(0.5, 0.5) == 0.25 == mul_up(0.5, 0.5)
+        lo, hi = mul_down(0.6, 0.6), mul_up(0.6, 0.6)
+        assert Fraction(lo) < Fraction(0.6) ** 2 < Fraction(hi)
+        assert math.nextafter(lo, math.inf) == hi
 
     def test_square_negative_orients(self):
-        r = iv_square(Enclosure(-0.6, -0.5))
-        assert r.lo <= 0.25 and r.hi >= 0.36
+        assert mul_down(-0.6, -0.6) == mul_down(0.6, 0.6)
+        assert mul_up(-0.6, -0.6) == mul_up(0.6, 0.6)
+        assert mul_down(-0.6, 0.6) == -mul_up(0.6, 0.6)
 
     def test_sqrt_example(self):
-        r = iv_sqrt(Enclosure(4.0, 9.0))
-        assert r.lo <= 2.0 and r.hi >= 3.0
-        assert ulps_apart(r.lo, 2.0) <= 1 and ulps_apart(3.0, r.hi) <= 1
+        assert sqrt_down(4.0) == 2.0 == sqrt_up(4.0)
+        assert sqrt_down(9.0) == 3.0 == sqrt_up(9.0)
+        lo, hi = sqrt_down(2.0), sqrt_up(2.0)
+        assert Fraction(lo) ** 2 < 2 < Fraction(hi) ** 2
+        assert math.nextafter(lo, math.inf) == hi
 
     def test_sqrt_zero(self):
-        assert iv_sqrt(Enclosure(0.0, 0.0)) == Enclosure(0.0, 0.0)
+        assert sqrt_down(0.0) == 0.0 == sqrt_up(0.0)
 
     def test_sqrt_negative_rejected(self):
         with pytest.raises(RigorError):
-            iv_sqrt(Enclosure(-1.0, 1.0))
+            sqrt_down(-1.0)
+        with pytest.raises(RigorError):
+            sqrt_up(-1e-300)
 
     def test_log_one(self):
         v = log_down(1.0)
@@ -148,28 +135,10 @@ class TestEnclosureBasics:
         with pytest.raises(RigorError):
             log_down(-1.0)
 
-    def test_intersect(self):
-        assert iv_intersect(Enclosure(0.0, 2.0), Enclosure(1.0, 3.0)) == Enclosure(1.0, 2.0)
-        assert iv_intersect(Enclosure(0.0, 1.0), Enclosure(2.0, 3.0)) is EMPTY
-        # shared endpoint counts
-        assert iv_intersect(Enclosure(0.0, 1.0), Enclosure(1.0, 2.0)) == Enclosure(1.0, 1.0)
 
-    def test_hull(self):
-        assert iv_hull(Enclosure(0.0, 1.0), Enclosure(2.0, 3.0)) == Enclosure(0.0, 3.0)
-        assert iv_hull(EMPTY, Enclosure(1.0, 2.0)) == Enclosure(1.0, 2.0)
-
-
-def _rand_enclosure(rng, span=8.0):
-    a = rng.uniform(-span, span)
-    b = rng.uniform(-span, span)
-    lo, hi = min(a, b), max(a, b)
-    return Enclosure(lo, hi)
-
-
-def _sample_in(rng, x: Enclosure) -> float:
-    t = rng.random()
-    # clamp: the interpolation can round outside the enclosure
-    return min(max(x.lo + (x.hi - x.lo) * t, x.lo), x.hi)
+def _wide(rng):
+    # a float of either sign with a magnitude anywhere in [2**-60, 2**60]
+    return rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-60.0, 60.0)
 
 
 class TestContainmentSampling:
@@ -179,29 +148,19 @@ class TestContainmentSampling:
 
     def test_add_sub_mul_square_exact_rational(self, rng):
         for _ in range(self.N):
-            x = _rand_enclosure(rng)
-            y = _rand_enclosure(rng)
-            px, py = _sample_in(rng, x), _sample_in(rng, y)
-            fx, fy = Fraction(px), Fraction(py)
-            r = iv_add(x, y)
-            assert Fraction(r.lo) <= fx + fy <= Fraction(r.hi)
-            r = iv_sub(x, y)
-            assert Fraction(r.lo) <= fx - fy <= Fraction(r.hi)
-            r = iv_mul(x, y)
-            assert Fraction(r.lo) <= fx * fy <= Fraction(r.hi)
-            r = iv_square(x)
-            assert Fraction(r.lo) <= fx * fx <= Fraction(r.hi)
+            a, b = _wide(rng), _wide(rng)
+            fa, fb = Fraction(a), Fraction(b)
+            assert Fraction(add_down(a, b)) <= fa + fb <= Fraction(add_up(a, b))
+            assert Fraction(sub_down(a, b)) <= fa - fb <= Fraction(sub_up(a, b))
+            assert Fraction(mul_down(a, b)) <= fa * fb <= Fraction(mul_up(a, b))
+            assert Fraction(mul_down(a, a)) <= fa * fa <= Fraction(mul_up(a, a))
 
     def test_sqrt_log_extended_precision(self, rng):
         for _ in range(800):
-            x = _rand_enclosure(rng)
-            lo = abs(x.lo)
-            x = Enclosure(lo, lo + (x.hi - x.lo))
-            p = _sample_in(rng, x)
-            r = iv_sqrt(x)
-            assert mpmath.mpf(r.lo) <= mpmath.sqrt(mpmath.mpf(p)) <= mpmath.mpf(r.hi)
-            if p > 0:
-                assert mpmath.mpf(log_down(p)) <= mpmath.log(mpmath.mpf(p))
+            p = abs(_wide(rng))
+            root = mpmath.sqrt(mpmath.mpf(p))
+            assert mpmath.mpf(sqrt_down(p)) <= root <= mpmath.mpf(sqrt_up(p))
+            assert mpmath.mpf(log_down(p)) <= mpmath.log(mpmath.mpf(p))
 
     def test_directed_scalar_helpers(self, rng):
         for _ in range(self.N):
@@ -217,34 +176,24 @@ class TestContainmentSampling:
 
 class TestTightness:
     def test_within_two_ulp(self, rng):
+        # each bound is within one ulp of the nearest result, so a directed
+        # pair is at most two ulp wide
         for _ in range(500):
-            x = _rand_enclosure(rng)
-            y = _rand_enclosure(rng)
-            r = iv_add(x, y)
-            assert ulps_apart(r.lo, x.lo + y.lo) <= 2
-            assert ulps_apart(x.hi + y.hi, r.hi) <= 2
-            r = iv_sub(x, y)
-            assert ulps_apart(r.lo, x.lo - y.hi) <= 2
-            r = iv_mul(x, y)
-            lo = min(x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
-            assert ulps_apart(r.lo, lo) <= 2
-            pos = Enclosure(abs(x.lo) + 0.125, abs(x.lo) + 0.25)
-            r = iv_square(pos)
-            assert ulps_apart(r.lo, pos.lo * pos.lo) <= 2
-            r = iv_sqrt(pos)
-            assert ulps_apart(r.lo, math.sqrt(pos.lo)) <= 2
-            assert ulps_apart(math.sqrt(pos.hi), r.hi) <= 2
+            a, b = rng.uniform(-8, 8), rng.uniform(-8, 8)
+            assert ulps_apart(add_down(a, b), a + b) <= 1 and ulps_apart(a + b, add_up(a, b)) <= 1
+            assert ulps_apart(sub_down(a, b), a - b) <= 1 and ulps_apart(a - b, sub_up(a, b)) <= 1
+            assert ulps_apart(mul_down(a, b), a * b) <= 1 and ulps_apart(a * b, mul_up(a, b)) <= 1
+            p = abs(a) + 0.125
+            assert ulps_apart(sqrt_down(p), math.sqrt(p)) <= 1
+            assert ulps_apart(math.sqrt(p), sqrt_up(p)) <= 1
+            assert ulps_apart(log_down(p), math.log(p)) <= 1
 
 
 class TestDeterminismAndConcurrency:
     def test_bit_identical_across_threads(self):
-        x = Enclosure(0.1, 0.7)
-        y = Enclosure(-0.3, 1.9)
-
         def work(_):
-            r1 = iv_mul(x, y)
-            r2 = iv_sqrt(iv_square(r1))
-            return (r1.lo, r1.hi, r2.lo, r2.hi, log_down(2.0 + r2.hi))
+            lo, hi = mul_down(0.1, -0.3), mul_up(0.7, 1.9)
+            return (lo, hi, sqrt_down(hi), sqrt_up(hi), log_down(2.0 + hi))
 
         with concurrent.futures.ThreadPoolExecutor(8) as pool:
             results = set(pool.map(work, range(64)))
@@ -254,30 +203,20 @@ class TestDeterminismAndConcurrency:
 finite = st.floats(min_value=-16.0, max_value=16.0, allow_nan=False)
 
 
-@given(a=finite, b=finite, c=finite, d=finite, t=st.floats(0, 1), u=st.floats(0, 1))
+@given(a=finite, b=finite)
 @settings(max_examples=300, deadline=None)
-def test_property_containment_add_mul(a, b, c, d, t, u):
-    x = Enclosure(min(a, b), max(a, b))
-    y = Enclosure(min(c, d), max(c, d))
-    px = min(max(x.lo + (x.hi - x.lo) * t, x.lo), x.hi)
-    py = min(max(y.lo + (y.hi - y.lo) * u, y.lo), y.hi)
-    fx, fy = Fraction(px), Fraction(py)
-    r = iv_add(x, y)
-    assert Fraction(r.lo) <= fx + fy <= Fraction(r.hi)
-    r = iv_mul(x, y)
-    assert Fraction(r.lo) <= fx * fy <= Fraction(r.hi)
-    r = iv_square(x)
-    assert Fraction(r.lo) <= fx * fx <= Fraction(r.hi)
+def test_property_containment_add_mul(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert Fraction(add_down(a, b)) <= fa + fb <= Fraction(add_up(a, b))
+    assert Fraction(mul_down(a, b)) <= fa * fb <= Fraction(mul_up(a, b))
+    assert Fraction(mul_down(a, a)) <= fa * fa <= Fraction(mul_up(a, a))
 
 
-@given(a=st.floats(min_value=0.0, max_value=16.0, allow_nan=False), t=st.floats(0, 1))
+@given(a=st.floats(min_value=0.0, max_value=16.0, allow_nan=False))
 @settings(max_examples=300, deadline=None)
-def test_property_containment_sqrt(a, t):
-    x = Enclosure(min(a * t, a), a)
-    p = min(max(x.lo + (x.hi - x.lo) * 0.5, x.lo), x.hi)
-    r = iv_sqrt(x)
-    # r.lo <= sqrt(p) <= r.hi, exactly, via squaring (bounds are nonnegative)
-    assert Fraction(r.lo) ** 2 <= Fraction(p) <= Fraction(r.hi) ** 2
+def test_property_containment_sqrt(a):
+    # exactly, via squaring (both bounds are nonnegative)
+    assert Fraction(sqrt_down(a)) ** 2 <= Fraction(a) <= Fraction(sqrt_up(a)) ** 2
 
 
 class TestArrayPath:

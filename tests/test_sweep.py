@@ -276,6 +276,16 @@ class TestRunSweep:
             fast_config(tmp_path, "x.csv", first=3, last=3).validate()
         with pytest.raises(ValueError):
             SweepConfig(workers=0, output_path="x.csv").validate()
+        for bad in (dict(k_coarse=1001), dict(k_fine=0), dict(delta0=0.0),
+                    dict(delta0=float("inf")), dict(bisection_steps=-1)):
+            with pytest.raises(ValueError):
+                SweepConfig(output_path="x.csv", **bad).validate()
+
+    def test_settings_that_fail_every_row_write_nothing(self, tmp_path):
+        cfg = SweepConfig(first=0, last=3, k_coarse=1001, output_path=str(tmp_path / "x.csv"))
+        with pytest.raises(ValueError, match="even"):
+            run_sweep(cfg)
+        assert os.listdir(tmp_path) == []
 
 
 class TestPlotData:
