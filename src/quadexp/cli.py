@@ -68,8 +68,8 @@ def _interval_from_flags(parser: argparse.ArgumentParser, args) -> ParamInterval
         return grid.interval(args.index)
     if args.a_lo is None or args.a_hi is None:
         parser.error("--a-lo and --a-hi must be given together")
-    if not args.a_lo < args.a_hi:
-        parser.error(f"empty parameter interval [{args.a_lo!r}, {args.a_hi!r}]")
+    if args.a_lo > args.a_hi:
+        parser.error(f"reversed parameter interval [{args.a_lo!r}, {args.a_hi!r}]")
     return ParamInterval(0, args.a_lo, args.a_hi)
 
 
@@ -88,7 +88,9 @@ def _fmt_value(value: float | None) -> str:
 
 def _cmd_analyze(parser, args) -> int:
     omega = _interval_from_flags(parser, args)
-    res = analyze(omega, args.k_fine, args.delta0, args.steps, args.k_coarse)
+    res = analyze(
+        omega, k_coarse=args.k_coarse, k_fine=args.k_fine, delta0=args.delta0, steps=args.steps
+    )
     print(format_row(res, include_elapsed=True))
     return 0 if res.status in (Status.SUCCESS, Status.ACYCLIC) else 1
 
@@ -104,7 +106,7 @@ def _cmd_kstudy(parser, args) -> int:
     omega = _interval_from_flags(parser, args)
     delta = args.delta
     if delta is None:
-        bound = delta_bound(omega, args.delta0, args.steps, args.k_coarse)
+        bound = delta_bound(omega, k_coarse=args.k_coarse, delta0=args.delta0, steps=args.steps)
         if bound is None:
             print("no certified radius at the coarse stage", file=sys.stderr)
             return 1

@@ -111,13 +111,8 @@ class WeightedDigraph:
     @classmethod
     def from_edges(cls, num_vertices: int, edges) -> "WeightedDigraph":
         """Build from an iterable of (from, to, weight) triples."""
-        edges = list(edges)
-        return cls(
-            num_vertices,
-            [e[0] for e in edges],
-            [e[1] for e in edges],
-            [e[2] for e in edges],
-        )
+        src, dst, weight = list(zip(*edges)) or ((), (), ())
+        return cls(num_vertices, src, dst, weight)
 
     @property
     def edge_count(self) -> int:
@@ -152,30 +147,18 @@ def _canonical_cycle(cycle: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # representation construction
 
-def _edge_weights(omega: ParamInterval, delta: float, los, his, srcs, dsts):
-    """Down-rounded infimum of log|2x| over the part of each edge's source
-    cell inside the preimage enclosure of its target (target len(los) is
-    the critical cell).  A function of its own so that its per-edge
-    temporaries are freed before the graph sorts its edges."""
-    k = los.size
-    a_lo, a_hi = omega.a_lo, omega.a_hi
-    is_cell = dsts < k
-    safe = np.minimum(dsts, k - 1)
-    tgt_lo = np.where(is_cell, los[safe], -delta)
-    tgt_hi = np.where(is_cell, his[safe], delta)
-    s_lo = sqrt_down(np.maximum(sub_down(a_lo, tgt_hi), 0.0))
-    s_hi = sqrt_up(sub_up(a_hi, tgt_lo))
-
-    src_lo = los[srcs]
-    src_hi = his[srcs]
-    positive = src_lo > 0.0
-    j_lo = np.where(positive, np.maximum(src_lo, s_lo), np.maximum(src_lo, -s_hi))
-    j_hi = np.where(positive, np.minimum(src_hi, s_hi), np.minimum(src_hi, -s_lo))
-    if j_lo.size and np.any(j_lo > j_hi):
+def _edge_weights(omega: ParamInterval, lo, hi, t_los, t_his, srcs, pos):
+    """Down-rounded infimum of log|2x| over the part of each edge's
+    positive source cell [lo[srcs], hi[srcs]] inside the preimage enclosure
+    of its target [t_los[pos], t_his[pos]].  A function of its own so that
+    its per-edge temporaries are freed before the graph sorts its edges."""
+    s_lo = sqrt_down(np.maximum(sub_down(omega.a_lo, t_his[pos]), 0.0))
+    s_hi = sqrt_up(sub_up(omega.a_hi, t_los[pos]))
+    j_lo = np.maximum(lo[srcs], s_lo)
+    if j_lo.size and np.any(j_lo > np.minimum(hi[srcs], s_hi)):
         raise AssertionError("edge whose source does not meet the target preimage")
-    twice_min_abs = np.where(positive, j_lo, -j_hi)
-    twice_min_abs *= 2.0
-    return log_down(twice_min_abs)
+    j_lo *= 2.0
+    return log_down(j_lo)
 
 
 def build_representation(omega: ParamInterval, partition: PhasePartition) -> WeightedDigraph:
@@ -190,33 +173,31 @@ def build_representation(omega: ParamInterval, partition: PhasePartition) -> Wei
     preimage enclosure of t.
     """
     k = partition.k
-    delta = partition.delta
-    a_lo, a_hi = omega.a_lo, omega.a_hi
+    m = k // 2
     dom_sup = phase_domain(omega)
 
-    los, his = partition.los, partition.his
+    # targets: the cells in ascending order with the critical cell at
+    # position m, so one pair of searches finds every edge
+    t_los = np.insert(partition.los, m, -partition.delta)
+    t_his = np.insert(partition.his, m, partition.delta)
 
-    # parameter-uniform image enclosure of each cell, clamped to the domain
-    mn = np.minimum(np.abs(los), np.abs(his))
-    mx = np.maximum(np.abs(los), np.abs(his))
-    img_lo = np.maximum(sub_down(a_lo, mul_up(mx, mx)), -dom_sup)
-    img_hi = np.minimum(sub_up(a_hi, mul_down(mn, mn)), dom_sup)
+    # sources: the positive cells m+s.  f(x) = a - x^2 is even and cell
+    # m-1-s is the exact negation of cell m+s, so both have the same image
+    # enclosure (hence targets) and the same min|x| on each preimage slice
+    # (hence bit-identical weights): the negative cell copies the edges.
+    lo, hi = partition.los[m:], partition.his[m:]
+    img_lo = np.maximum(sub_down(omega.a_lo, mul_up(hi, hi)), -dom_sup)
+    img_hi = np.minimum(sub_up(omega.a_hi, mul_down(lo, lo)), dom_sup)
 
-    # contiguous range of cells intersecting each image
-    t_lo = np.searchsorted(his, img_lo, side="left")
-    t_hi = np.searchsorted(los, img_hi, side="right") - 1
-    counts = np.maximum(t_hi - t_lo + 1, 0)
+    # contiguous range of targets intersecting each image
+    first = np.searchsorted(t_his, img_lo, side="left")
+    counts = np.maximum(np.searchsorted(t_los, img_hi, side="right") - first, 0)
+    srcs = np.repeat(np.arange(m, dtype=np.int64), counts)
+    pos = _ranges(first, first + counts)
 
-    srcs = np.repeat(np.arange(k, dtype=np.int64), counts)
-    dsts = _ranges(t_lo, t_lo + counts)
-
-    # edges into the critical cell
-    hits_delta = np.flatnonzero((img_lo <= delta) & (img_hi >= -delta))
-    srcs = np.concatenate([srcs, hits_delta])
-    dsts = np.concatenate([dsts, np.full(hits_delta.size, k, dtype=np.int64)])
-
-    weights = _edge_weights(omega, delta, los, his, srcs, dsts)
-    return WeightedDigraph(k + 1, srcs, dsts, weights)
+    weights = np.tile(_edge_weights(omega, lo, hi, t_los, t_his, srcs, pos), 2)
+    dsts = np.tile(np.where(pos == m, k, pos - (pos > m)), 2)
+    return WeightedDigraph(k + 1, np.concatenate((m + srcs, m - 1 - srcs)), dsts, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -513,4 +494,4 @@ def load_graph(text: str) -> WeightedDigraph:
             edges.append((int(parts[0]), int(parts[1]), float.fromhex(parts[2])))
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from None
-    return WeightedDigraph(n, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges])
+    return WeightedDigraph.from_edges(n, edges)

@@ -91,7 +91,7 @@ def _validate(omega: ParamInterval) -> None:
         )
 
 
-def check_settings(k_coarse: int, k_fine: int, delta0: float, steps: int) -> None:
+def check_settings(*, k_coarse: int, k_fine: int, delta0: float, steps: int) -> None:
     """Raise ValueError for analysis settings that no interval can run
     with: a cell count that is odd or below 2, an initial radius that is
     not positive and finite, or a negative number of bisection steps.
@@ -129,9 +129,10 @@ def _mid_up(lo: float, hi: float) -> float:
 
 def delta_bound(
     omega: ParamInterval,
+    *,
+    k_coarse: int = DEFAULT_K_COARSE,
     delta0: float = DEFAULT_DELTA0,
     steps: int = DEFAULT_BISECTION_STEPS,
-    k_coarse: int = DEFAULT_K_COARSE,
 ) -> DeltaBound | None:
     """A possibly small certified radius in (0, delta0], or None when the
     coarse expansion bound at delta0 is already nonpositive.
@@ -163,10 +164,11 @@ def delta_bound(
 
 def analyze(
     omega: ParamInterval,
+    *,
+    k_coarse: int = DEFAULT_K_COARSE,
     k_fine: int = DEFAULT_K_FINE,
     delta0: float = DEFAULT_DELTA0,
     steps: int = DEFAULT_BISECTION_STEPS,
-    k_coarse: int = DEFAULT_K_COARSE,
 ) -> AnalysisResult:
     """Full certified analysis of one parameter interval: radius bisection
     at the coarse resolution, then the exponent bound at the fine one.
@@ -178,7 +180,7 @@ def analyze(
     """
     start = time.perf_counter()
     _validate(omega)
-    check_settings(k_coarse, k_fine, delta0, steps)
+    check_settings(k_coarse=k_coarse, k_fine=k_fine, delta0=delta0, steps=steps)
 
     def done(status, d=None, lam=None):
         elapsed = int(round((time.perf_counter() - start) * 1000.0))
@@ -186,7 +188,7 @@ def analyze(
             omega.index, omega.a_lo, omega.a_hi, status, d, lam, k_coarse, k_fine, elapsed
         )
 
-    bound = delta_bound(omega, delta0, steps, k_coarse)
+    bound = delta_bound(omega, k_coarse=k_coarse, delta0=delta0, steps=steps)
     if bound is None:
         return done(Status.NO_EXPANSION_AT_DELTA0)
     fine = lambda_bound(omega, bound.delta_bar, k_fine)

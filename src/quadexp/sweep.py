@@ -81,7 +81,12 @@ class SweepConfig:
             raise ValueError("need at least one worker")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint interval must be positive")
-        check_settings(self.k_coarse, self.k_fine, self.delta0, self.bisection_steps)
+        check_settings(
+            k_coarse=self.k_coarse,
+            k_fine=self.k_fine,
+            delta0=self.delta0,
+            steps=self.bisection_steps,
+        )
 
 
 def _hex(x: float | None) -> str:
@@ -146,7 +151,13 @@ def _exit_with_parent(parent: int) -> None:
 
 def _analyze_task(omega: ParamInterval, config: SweepConfig) -> tuple[int, str]:
     try:
-        res = analyze(omega, config.k_fine, config.delta0, config.bisection_steps, config.k_coarse)
+        res = analyze(
+            omega,
+            k_coarse=config.k_coarse,
+            k_fine=config.k_fine,
+            delta0=config.delta0,
+            steps=config.bisection_steps,
+        )
     except Exception as exc:  # a panic in one interval must not kill the sweep
         print(f"analysis of interval {omega.index} failed: {exc!r}", file=sys.stderr)
         res = AnalysisResult(

@@ -1,6 +1,8 @@
 import pytest
 
 from quadexp.cli import main
+from quadexp.expansivity import lambda_bound
+from quadexp.family import ParamInterval
 from quadexp.sweep import CSV_HEADER, parse_row
 
 
@@ -55,6 +57,7 @@ class TestAnalyzeCommand:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--a-lo", "2", "--a-hi", "1"])
         assert exc.value.code == 2
+        assert "reversed parameter interval [2.0, 1.0]" in capsys.readouterr().err
 
     def test_requires_exactly_one_selector(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -102,6 +105,13 @@ class TestLambdaAndKstudy:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].split()[0] == "200" and lines[1].split()[0] == "400"
+
+    def test_point_interval_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "lambda", "--a-lo", "2", "--a-hi", "2", "--delta", "0.001", "--k", "100"
+        )
+        assert code == 0
+        assert float.fromhex(out.split()[0]) == lambda_bound(ParamInterval(0, 2.0, 2.0), 0.001, 100)
 
     def test_hex_float_flag_accepted(self, capsys):
         code, out, _ = run_cli(

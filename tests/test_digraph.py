@@ -96,6 +96,13 @@ class TestBuildRepresentation:
             (1.8, 1.81, 0.01, 16),
             (representable("1.9999"), 2.0, 0.001, 40),
             (representable("1.4"), representable("1.41"), 0.05, 24),
+            # an image end exactly on a cell boundary (k < 12: no outer band,
+            # so the breakpoints do not depend on a_lo), where a one-ulp slip
+            # in rounding an image bound changes the edges.  Here the lower
+            # image end of the cells next to the critical cell is delta ...
+            (float.fromhex("0x1.f9f51069413d8p-4"), 2.0, float.fromhex("0x1.514e0af0d6290p-5"), 4),
+            # ... and here their upper image end is delta
+            (0.9, 0.973368850314211, 0.6060600572817966, 4),
         ):
             om = ParamInterval(0, a_lo, a_hi)
             part = phase_partition(om, delta, k)

@@ -112,6 +112,17 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="even"):
             analyze(flagship, k_fine=2001)
 
+    def test_settings_are_keyword_only(self, flagship, monkeypatch):
+        # the three take the settings by name, so no caller can pass them
+        # in another function's order
+        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
+        with pytest.raises(TypeError):
+            analyze(flagship, 2000)
+        with pytest.raises(TypeError):
+            delta_bound(flagship, 0.001)
+        with pytest.raises(TypeError):
+            expansivity.check_settings(1000, 20000, 0.001, 20)
+
     def test_fine_partition_artifact(self, flagship, monkeypatch):
         monkeypatch.setattr(
             expansivity, "lambda_bound", lambda omega, delta, k: 0.5 if k == 200 else -0.125
