@@ -46,6 +46,9 @@ class Status(enum.Enum):
 
     ERROR is defensive only: it marks a sweep row whose analysis raised,
     which the pipeline itself never does on valid input.
+    FINE_PARTITION_ARTIFACT is no longer produced; it stays so that results
+    files written when a nonpositive fine bound discarded the coarse one
+    still parse.
     """
 
     SUCCESS = "SUCCESS"
@@ -75,20 +78,23 @@ class AnalysisResult:
 
 @dataclass(frozen=True)
 class DeltaBound:
-    """Certified critical radius from the bisection stage.  The coarse
-    expansion bound at delta_bar re-verifies positive (or the coarse graph
-    is acyclic, a vacuous certificate: every orbit enters the neighborhood
-    within k steps)."""
+    """Certified critical radius from the bisection stage, with the coarse
+    expansion bound that certified it: the probe's value at delta_bar,
+    positive, or None when that coarse graph is acyclic (a vacuous
+    certificate: every orbit enters the neighborhood within k steps)."""
 
     delta_bar: float
-    coarse_acyclic: bool
+    coarse_lambda: float | None
 
 
-def _validate(omega: ParamInterval) -> None:
-    if not (0.0 < omega.a_lo <= omega.a_hi <= 2.0):
-        raise ValueError(
-            f"parameter interval [{omega.a_lo!r}, {omega.a_hi!r}] outside (0, 2]"
-        )
+def _check(delta0: float, steps: int, **cell_counts: int) -> None:
+    for name, k in cell_counts.items():
+        if k < 2 or k % 2 != 0:
+            raise ValueError(f"{name} cell count must be even and >= 2, got {k}")
+    if not 0.0 < delta0 < math.inf:
+        raise ValueError(f"initial radius must be positive and finite, got {delta0!r}")
+    if steps < 0:
+        raise ValueError(f"bisection steps must be >= 0, got {steps}")
 
 
 def check_settings(*, k_coarse: int, k_fine: int, delta0: float, steps: int) -> None:
@@ -96,13 +102,7 @@ def check_settings(*, k_coarse: int, k_fine: int, delta0: float, steps: int) -> 
     with: a cell count that is odd or below 2, an initial radius that is
     not positive and finite, or a negative number of bisection steps.
     Callers check before doing any work, so a bad setting fails at once."""
-    for name, k in (("coarse", k_coarse), ("fine", k_fine)):
-        if k < 2 or k % 2 != 0:
-            raise ValueError(f"{name} cell count must be even and >= 2, got {k}")
-    if not 0.0 < delta0 < math.inf:
-        raise ValueError(f"initial radius must be positive and finite, got {delta0!r}")
-    if steps < 0:
-        raise ValueError(f"bisection steps must be >= 0, got {steps}")
+    _check(delta0, steps, coarse=k_coarse, fine=k_fine)
 
 
 def lambda_bound(omega: ParamInterval, delta: float, k: int) -> float | None:
@@ -115,7 +115,6 @@ def lambda_bound(omega: ParamInterval, delta: float, k: int) -> float | None:
     vacuously at every exponent).  A value <= 0 certifies nothing at this
     resolution.
     """
-    _validate(omega)
     partition = phase_partition(omega, delta, k)
     graph = build_representation(omega, partition)
     return min_cycle_mean_lowmem(graph).value
@@ -140,26 +139,23 @@ def delta_bound(
     Bisects on [0, delta0], keeping as the upper end the smallest radius
     whose coarse bound came out positive (an acyclic coarse graph counts as
     a positive, vacuous certificate); after the fixed number of steps the
-    upper end is returned.
+    upper end is returned with its probe's value.
     """
-    if delta0 <= 0.0:
-        raise ValueError(f"initial radius must be positive, got {delta0!r}")
-    probe = lambda_bound(omega, delta0, k_coarse)
-    if probe is not None and probe <= 0.0:
+    _check(delta0, steps, coarse=k_coarse)
+    coarse = lambda_bound(omega, delta0, k_coarse)
+    if coarse is not None and coarse <= 0.0:
         return None
     lo, hi = 0.0, delta0
-    hi_acyclic = probe is None
     for _ in range(steps):
         mid = _mid_up(lo, hi)
         if not lo < mid < hi:
             break
         value = lambda_bound(omega, mid, k_coarse)
         if value is None or value > 0.0:
-            hi = mid
-            hi_acyclic = value is None
+            hi, coarse = mid, value
         else:
             lo = mid
-    return DeltaBound(hi, hi_acyclic)
+    return DeltaBound(hi, coarse)
 
 
 def analyze(
@@ -173,13 +169,13 @@ def analyze(
     """Full certified analysis of one parameter interval: radius bisection
     at the coarse resolution, then the exponent bound at the fine one.
 
-    A nonpositive fine bound after a successful coarse stage is a known
-    artifact of re-partitioning and is reported as a failure of its own
-    kind; an acyclic graph at the accepted coarse radius or at the fine
-    stage yields the ACYCLIC status with the radius but no finite exponent.
+    Both bounds hold for every map in omega outside (-delta_bar,
+    delta_bar), so lambda_bar is the larger of the two: the fine bound
+    usually, the coarse one where re-partitioning lost ground.  An acyclic
+    graph at the accepted coarse radius or at the fine stage yields the
+    ACYCLIC status with the radius but no finite exponent.
     """
     start = time.perf_counter()
-    _validate(omega)
     check_settings(k_coarse=k_coarse, k_fine=k_fine, delta0=delta0, steps=steps)
 
     def done(status, d=None, lam=None):
@@ -192,10 +188,8 @@ def analyze(
     if bound is None:
         return done(Status.NO_EXPANSION_AT_DELTA0)
     fine = lambda_bound(omega, bound.delta_bar, k_fine)
-    if bound.coarse_acyclic or fine is None:
+    if bound.coarse_lambda is None or fine is None:
         return done(Status.ACYCLIC, d=bound.delta_bar)
-    if fine <= 0.0:
-        return done(Status.FINE_PARTITION_ARTIFACT)
     if not math.isfinite(fine):
         raise AssertionError(f"non-finite exponent bound {fine!r}")
-    return done(Status.SUCCESS, d=bound.delta_bar, lam=fine)
+    return done(Status.SUCCESS, d=bound.delta_bar, lam=max(bound.coarse_lambda, fine))

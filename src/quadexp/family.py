@@ -19,7 +19,8 @@ class ParamInterval:
     """A parameter-space subinterval [a_lo, a_hi] with its grid index.
 
     The certified pipeline requires 0 < a_lo <= a_hi <= 2 so that every
-    f_a maps its phase interval into itself; entry points validate this.
+    f_a maps its phase interval into itself; ``phase_partition``, where
+    every solve starts, validates this.
     """
 
     index: int

@@ -140,7 +140,9 @@ def _breakpoints(delta: float, sup: float, k: int, smear: float) -> np.ndarray:
 
 
 def phase_partition(omega: ParamInterval, delta: float, k: int) -> PhasePartition:
-    if delta <= 0.0:
+    if not 0.0 < omega.a_lo <= omega.a_hi <= 2.0:
+        raise ValueError(f"parameter interval [{omega.a_lo!r}, {omega.a_hi!r}] outside (0, 2]")
+    if not delta > 0.0:
         raise ValueError(f"critical radius must be positive, got {delta!r}")
     if k < 2 or k % 2 != 0:
         raise ValueError(f"cell count must be even and >= 2, got {k}")

@@ -75,6 +75,8 @@ class SweepConfig:
     checkpoint_every: int = 16
 
     def validate(self) -> None:
+        if not (0.0 < self.a_min and self.a_max <= 2.0):
+            raise ValueError(f"parameter range [{self.a_min!r}, {self.a_max!r}] outside (0, 2]")
         if not 0 <= self.first < self.last <= self.n:
             raise ValueError(f"index range [{self.first}, {self.last}) not within [0, {self.n})")
         if self.workers < 1:

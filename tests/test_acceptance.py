@@ -266,11 +266,14 @@ def test_criterion_05_certificate_soundness():
 
     rng = random.Random(5)
     for omega, res in successes:
-        partition = phase_partition(omega, res.delta_bar, 2000)
+        # lambda_bar is the larger of the coarse (k=1000) and fine bounds;
+        # the graph and B come from the resolution that proved it
+        k = next(k for k in (2000, 1000) if lambda_bound(omega, res.delta_bar, k) == res.lambda_bar)
+        partition = phase_partition(omega, res.delta_bar, k)
         graph = build_representation(omega, partition)
         max_w = float(np.abs(graph.weight).max())
         lam = res.lambda_bar
-        B = (2000 + 1) * (max_w + abs(lam))
+        B = (k + 1) * (max_w + abs(lam))
         sup = phase_domain(omega)
         p_edge = fixed_point_hi(omega)
 

@@ -1,6 +1,9 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
-from quadexp.cli import main
+from quadexp.cli import build_parser, main
 from quadexp.expansivity import lambda_bound
 from quadexp.family import ParamInterval
 from quadexp.sweep import CSV_HEADER, parse_row
@@ -113,6 +116,14 @@ class TestLambdaAndKstudy:
         assert code == 0
         assert float.fromhex(out.split()[0]) == lambda_bound(ParamInterval(0, 2.0, 2.0), 0.001, 100)
 
+    def test_kstudy_rejects_negative_steps(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kstudy", *FAST_INTERVAL, "--k-list", "100", "--steps", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "bisection steps must be >= 0" in err
+
     def test_hex_float_flag_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "lambda", *FAST_INTERVAL, "--delta", "0x1.0624dd2f1a9fcp-10", "--k", "400"
@@ -162,6 +173,18 @@ class TestDumps:
         f2.write_text("vertices 2\n  0 1 0x1p0\n")
         code, out, _ = run_cli(capsys, "mincyclemean", "--input", str(f2))
         assert code == 0 and out.strip() == "NONE"
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("graph", ["--k", "8"]), ("partition", ["--k", "4"]), ("selfcheck", ["--k", "100"])],
+    )
+    def test_interval_outside_family_fails(self, capsys, command, flags):
+        code, out, err = run_cli(
+            capsys, command, "--a-lo", "2.5", "--a-hi", "2.6", "--delta", "0.001", *flags
+        )
+        assert code == 1
+        assert out == ""
+        assert "outside (0, 2]" in err
 
 
 class TestSweepAndPlotData:
@@ -229,3 +252,19 @@ class TestSelfCheck:
                 "--orbits", "10", "--steps", "200", "--seed", seed,
             )
             assert code == 0
+
+
+class TestReadmeExamples:
+    def test_command_line_examples_parse(self):
+        # every quadexp line of the README's command-line block names
+        # subcommands and flags that exist
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("quadexp ")]
+        assert len(lines) == 10
+        parser = build_parser()
+        for line in lines:
+            words = shlex.split(line, comments=True)
+            if ">" in words:
+                words = words[: words.index(">")]
+            parser.parse_args(words[1:])

@@ -13,6 +13,7 @@ from quadexp.expansivity import (
     lambda_bound,
 )
 from quadexp.family import ParamInterval
+from quadexp.partition import subdivide_parameters
 from quadexp.rigor import representable
 
 
@@ -86,6 +87,20 @@ class TestDeltaBound:
         with pytest.raises(ValueError):
             delta_bound(flagship, delta0=0.0)
 
+    def test_checks_its_own_settings(self, flagship, monkeypatch):
+        # the same checks and messages as check_settings, before any solve
+        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="bisection steps must be >= 0, got -1"):
+            delta_bound(flagship, steps=-1)
+        with pytest.raises(ValueError, match="initial radius must be positive and finite"):
+            delta_bound(flagship, delta0=math.nan)
+        with pytest.raises(ValueError, match="coarse cell count must be even"):
+            delta_bound(flagship, k_coarse=999)
+
+    def test_coarse_lambda_is_the_probe_at_delta_bar(self, flagship):
+        bound = delta_bound(flagship)
+        assert bound.coarse_lambda == lambda_bound(flagship, bound.delta_bar, 1000)
+
 
 class TestAnalyze:
     def test_success_path(self, flagship):
@@ -103,8 +118,9 @@ class TestAnalyze:
         assert res.delta_bar is None and res.lambda_bar is None
         assert not res.certified()
 
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
+    def test_invalid_interval(self, monkeypatch):
+        monkeypatch.setattr(expansivity, "build_representation", lambda *args: pytest.fail("built"))
+        with pytest.raises(ValueError, match=r"outside \(0, 2\]"):
             analyze(ParamInterval(0, 2.5, 2.6))
 
     def test_bad_settings_fail_before_any_solve(self, flagship, monkeypatch):
@@ -124,12 +140,24 @@ class TestAnalyze:
             expansivity.check_settings(1000, 20000, 0.001, 20)
 
     def test_fine_partition_artifact(self, flagship, monkeypatch):
+        # a nonpositive fine bound leaves the coarse certificate standing
         monkeypatch.setattr(
             expansivity, "lambda_bound", lambda omega, delta, k: 0.5 if k == 200 else -0.125
         )
         res = analyze(flagship, k_fine=64, k_coarse=200, steps=4)
-        assert res.status is Status.FINE_PARTITION_ARTIFACT
-        assert res.delta_bar is None and res.lambda_bar is None
+        assert res.status is Status.SUCCESS
+        assert res.delta_bar is not None and 0.0 < res.delta_bar <= 0.001
+        assert res.lambda_bar == 0.5
+
+    def test_coarse_bound_kept_where_the_fine_one_fails(self):
+        # grid row 59245: the fine solve at the certified radius is
+        # negative, and lambda_bar is the coarse probe's value, bit for bit
+        omega = subdivide_parameters(representable("1.4"), 2.0, 60000).interval(59245)
+        res = analyze(omega)
+        assert res.status is Status.SUCCESS
+        assert res.lambda_bar == lambda_bound(omega, res.delta_bar, 1000)
+        assert res.lambda_bar > 0.1
+        assert lambda_bound(omega, res.delta_bar, 20000) < 0.0
 
     def test_acyclic_fine_stage(self, flagship, monkeypatch):
         monkeypatch.setattr(

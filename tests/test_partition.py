@@ -129,6 +129,10 @@ class TestPhasePartition:
             phase_partition(om, 0.001, 7)  # odd
         with pytest.raises(ValueError):
             phase_partition(om, 0.0, 10)
+        with pytest.raises(ValueError, match="critical radius must be positive"):
+            phase_partition(om, math.nan, 10)
+        with pytest.raises(ValueError, match=r"outside \(0, 2\]"):
+            phase_partition(ParamInterval(0, 2.5, 2.6), 0.001, 10)
         with pytest.raises(ValueError):
             phase_partition(om, 5.0, 10)  # swallows the domain
         with pytest.raises(RigorError, match="collide"):

@@ -277,13 +277,18 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(workers=0, output_path="x.csv").validate()
         for bad in (dict(k_coarse=1001), dict(k_fine=0), dict(delta0=0.0),
-                    dict(delta0=float("inf")), dict(bisection_steps=-1)):
+                    dict(delta0=float("inf")), dict(bisection_steps=-1),
+                    dict(a_min=0.0), dict(a_max=2.5), dict(a_min=float("nan"))):
             with pytest.raises(ValueError):
                 SweepConfig(output_path="x.csv", **bad).validate()
 
     def test_settings_that_fail_every_row_write_nothing(self, tmp_path):
-        cfg = SweepConfig(first=0, last=3, k_coarse=1001, output_path=str(tmp_path / "x.csv"))
+        out = str(tmp_path / "x.csv")
+        cfg = SweepConfig(first=0, last=3, k_coarse=1001, output_path=out)
         with pytest.raises(ValueError, match="even"):
+            run_sweep(cfg)
+        cfg = SweepConfig(a_min=2.5, a_max=3.0, n=4, first=0, last=4, output_path=out)
+        with pytest.raises(ValueError, match=r"outside \(0, 2\]"):
             run_sweep(cfg)
         assert os.listdir(tmp_path) == []
 
