@@ -21,6 +21,7 @@ from .digraph import (
 from .expansivity import (
     AnalysisResult,
     DeltaBound,
+    Settings,
     Status,
     analyze,
     delta_bound,
@@ -40,6 +41,7 @@ __all__ = [
     "ParamGrid",
     "ParamInterval",
     "PhasePartition",
+    "Settings",
     "Status",
     "SweepConfig",
     "WeightedDigraph",

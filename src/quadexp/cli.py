@@ -23,16 +23,7 @@ from .digraph import (
     min_cycle_mean_karp,
     min_cycle_mean_lowmem,
 )
-from .expansivity import (
-    DEFAULT_BISECTION_STEPS,
-    DEFAULT_DELTA0,
-    DEFAULT_K_COARSE,
-    DEFAULT_K_FINE,
-    Status,
-    analyze,
-    delta_bound,
-    lambda_bound,
-)
+from .expansivity import Settings, Status, analyze, delta_bound, lambda_bound
 from .family import ParamInterval
 from .partition import breakpoint_dump, phase_partition, subdivide_parameters
 from .rigor import representable
@@ -53,6 +44,9 @@ def _k_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not values:
         raise argparse.ArgumentTypeError("empty k list")
+    for k in values:
+        if k < 2 or k % 2 != 0:
+            raise argparse.ArgumentTypeError(f"cell count must be even and >= 2, got {k}")
     return values
 
 
@@ -82,15 +76,26 @@ def _add_interval_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--a-max", type=_number, default=2.0)
 
 
+def _add_settings_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--k-coarse", type=int, default=Settings.k_coarse)
+    sub.add_argument("--k-fine", type=int, default=Settings.k_fine)
+    sub.add_argument("--delta0", type=_number, default=Settings.delta0)
+    sub.add_argument("--steps", type=int, default=Settings.bisection_steps)
+
+
+def _settings(args) -> Settings:
+    return Settings(
+        k_coarse=args.k_coarse, k_fine=args.k_fine, delta0=args.delta0, bisection_steps=args.steps
+    )
+
+
 def _fmt_value(value: float | None) -> str:
     return "ACYCLIC" if value is None else f"{value.hex()} {value:.17g}"
 
 
 def _cmd_analyze(parser, args) -> int:
     omega = _interval_from_flags(parser, args)
-    res = analyze(
-        omega, k_coarse=args.k_coarse, k_fine=args.k_fine, delta0=args.delta0, steps=args.steps
-    )
+    res = analyze(omega, settings=_settings(args))
     print(format_row(res, include_elapsed=True))
     return 0 if res.status in (Status.SUCCESS, Status.ACYCLIC) else 1
 
@@ -104,9 +109,10 @@ def _cmd_lambda(parser, args) -> int:
 
 def _cmd_kstudy(parser, args) -> int:
     omega = _interval_from_flags(parser, args)
+    settings = Settings(k_coarse=args.k_coarse, delta0=args.delta0, bisection_steps=args.steps)
     delta = args.delta
     if delta is None:
-        bound = delta_bound(omega, k_coarse=args.k_coarse, delta0=args.delta0, steps=args.steps)
+        bound = delta_bound(omega, settings=settings)
         if bound is None:
             print("no certified radius at the coarse stage", file=sys.stderr)
             return 1
@@ -164,13 +170,9 @@ def _cmd_sweep(parser, args) -> int:
         n=args.n,
         first=args.first,
         last=args.last if args.last is not None else args.n,
-        k_coarse=args.k_coarse,
-        k_fine=args.k_fine,
-        delta0=args.delta0,
-        bisection_steps=args.steps,
+        settings=_settings(args),
         workers=args.workers,
         output_path=args.output,
-        checkpoint_every=args.checkpoint_every,
     )
     path = run_sweep(config)
     print(f"wrote {path}", file=sys.stderr)
@@ -201,10 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full certified analysis of one parameter interval")
     _add_interval_flags(p)
-    p.add_argument("--k-fine", type=int, default=DEFAULT_K_FINE)
-    p.add_argument("--k-coarse", type=int, default=DEFAULT_K_COARSE)
-    p.add_argument("--delta0", type=_number, default=DEFAULT_DELTA0)
-    p.add_argument("--steps", type=int, default=DEFAULT_BISECTION_STEPS)
+    _add_settings_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("lambda", help="expansion exponent bound for a fixed radius and cell count")
@@ -217,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_interval_flags(p)
     p.add_argument("--k-list", type=_k_list, required=True, help="comma-separated cell counts")
     p.add_argument("--delta", type=_number, default=None, help="radius; computed if omitted")
-    p.add_argument("--k-coarse", type=int, default=DEFAULT_K_COARSE)
-    p.add_argument("--delta0", type=_number, default=DEFAULT_DELTA0)
-    p.add_argument("--steps", type=int, default=DEFAULT_BISECTION_STEPS)
+    p.add_argument("--k-coarse", type=int, default=Settings.k_coarse)
+    p.add_argument("--delta0", type=_number, default=Settings.delta0)
+    p.add_argument("--steps", type=int, default=Settings.bisection_steps)
     p.set_defaults(func=_cmd_kstudy)
 
     p = sub.add_parser("partition", help="dump phase partition breakpoints (hex floats)")
@@ -246,13 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument("--first", type=int, default=0)
     p.add_argument("--last", type=int, default=None)
-    p.add_argument("--k-coarse", type=int, default=DEFAULT_K_COARSE)
-    p.add_argument("--k-fine", type=int, default=DEFAULT_K_FINE)
-    p.add_argument("--delta0", type=_number, default=DEFAULT_DELTA0)
-    p.add_argument("--steps", type=int, default=DEFAULT_BISECTION_STEPS)
+    _add_settings_flags(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", required=True)
-    p.add_argument("--checkpoint-every", type=int, default=16)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("plotdata", help="emit plot data files from a results CSV")
@@ -262,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="sampling-based validity checks (not a proof)")
     _add_interval_flags(p)
-    p.add_argument("--delta", type=_number, default=DEFAULT_DELTA0)
-    p.add_argument("--k", type=int, default=DEFAULT_K_COARSE)
+    p.add_argument("--delta", type=_number, default=Settings.delta0)
+    p.add_argument("--k", type=int, default=Settings.k_coarse)
     p.add_argument("--orbits", type=int, default=50)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0, help="sampling seed (rigorous pipeline has none)")

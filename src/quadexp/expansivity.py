@@ -7,6 +7,11 @@ parameter interval is lambda_bar-uniformly expanding outside
 (-delta_bar, delta_bar): orbits avoiding that neighborhood for n steps
 accumulate derivative at least C * exp(lambda_bar * n) for a constant C
 independent of n.
+
+The four settings that decide every result (the coarse and fine cell
+counts, the initial radius and the number of bisection steps) travel as
+one validated ``Settings`` value, so a bad setting fails where it is
+made, before any solve.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ __all__ = [
     "lambda_bound",
     "delta_bound",
     "analyze",
-    "check_settings",
+    "Settings",
     "DEFAULT_DELTA0",
     "DEFAULT_BISECTION_STEPS",
     "DEFAULT_K_COARSE",
@@ -56,6 +61,29 @@ class Status(enum.Enum):
     FINE_PARTITION_ARTIFACT = "FINE_PARTITION_ARTIFACT"
     ACYCLIC = "ACYCLIC"
     ERROR = "ERROR"
+
+
+@dataclass(frozen=True, kw_only=True)
+class Settings:
+    """The settings that decide an analysis: cell counts of the coarse
+    (bisection) and fine stages, the initial radius, and the number of
+    bisection steps.  Construction raises ValueError for settings that no
+    interval can run with: a cell count that is odd or below 2, an initial
+    radius that is not positive and finite, or a negative number of steps."""
+
+    k_coarse: int = DEFAULT_K_COARSE
+    k_fine: int = DEFAULT_K_FINE
+    delta0: float = DEFAULT_DELTA0
+    bisection_steps: int = DEFAULT_BISECTION_STEPS
+
+    def __post_init__(self) -> None:
+        for name, k in (("coarse", self.k_coarse), ("fine", self.k_fine)):
+            if k < 2 or k % 2 != 0:
+                raise ValueError(f"{name} cell count must be even and >= 2, got {k}")
+        if not 0.0 < self.delta0 < math.inf:
+            raise ValueError(f"initial radius must be positive and finite, got {self.delta0!r}")
+        if self.bisection_steps < 0:
+            raise ValueError(f"bisection steps must be >= 0, got {self.bisection_steps}")
 
 
 @dataclass(frozen=True)
@@ -87,24 +115,6 @@ class DeltaBound:
     coarse_lambda: float | None
 
 
-def _check(delta0: float, steps: int, **cell_counts: int) -> None:
-    for name, k in cell_counts.items():
-        if k < 2 or k % 2 != 0:
-            raise ValueError(f"{name} cell count must be even and >= 2, got {k}")
-    if not 0.0 < delta0 < math.inf:
-        raise ValueError(f"initial radius must be positive and finite, got {delta0!r}")
-    if steps < 0:
-        raise ValueError(f"bisection steps must be >= 0, got {steps}")
-
-
-def check_settings(*, k_coarse: int, k_fine: int, delta0: float, steps: int) -> None:
-    """Raise ValueError for analysis settings that no interval can run
-    with: a cell count that is odd or below 2, an initial radius that is
-    not positive and finite, or a negative number of bisection steps.
-    Callers check before doing any work, so a bad setting fails at once."""
-    _check(delta0, steps, coarse=k_coarse, fine=k_fine)
-
-
 def lambda_bound(omega: ParamInterval, delta: float, k: int) -> float | None:
     """Certified lower bound for the expansion exponent of every map in
     omega outside (-delta, delta), from the minimum cycle mean of the
@@ -126,13 +136,7 @@ def _mid_up(lo: float, hi: float) -> float:
     return add_up(lo, hi) / 2.0
 
 
-def delta_bound(
-    omega: ParamInterval,
-    *,
-    k_coarse: int = DEFAULT_K_COARSE,
-    delta0: float = DEFAULT_DELTA0,
-    steps: int = DEFAULT_BISECTION_STEPS,
-) -> DeltaBound | None:
+def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> DeltaBound | None:
     """A possibly small certified radius in (0, delta0], or None when the
     coarse expansion bound at delta0 is already nonpositive.
 
@@ -141,16 +145,15 @@ def delta_bound(
     a positive, vacuous certificate); after the fixed number of steps the
     upper end is returned with its probe's value.
     """
-    _check(delta0, steps, coarse=k_coarse)
-    coarse = lambda_bound(omega, delta0, k_coarse)
+    coarse = lambda_bound(omega, settings.delta0, settings.k_coarse)
     if coarse is not None and coarse <= 0.0:
         return None
-    lo, hi = 0.0, delta0
-    for _ in range(steps):
+    lo, hi = 0.0, settings.delta0
+    for _ in range(settings.bisection_steps):
         mid = _mid_up(lo, hi)
         if not lo < mid < hi:
             break
-        value = lambda_bound(omega, mid, k_coarse)
+        value = lambda_bound(omega, mid, settings.k_coarse)
         if value is None or value > 0.0:
             hi, coarse = mid, value
         else:
@@ -158,14 +161,7 @@ def delta_bound(
     return DeltaBound(hi, coarse)
 
 
-def analyze(
-    omega: ParamInterval,
-    *,
-    k_coarse: int = DEFAULT_K_COARSE,
-    k_fine: int = DEFAULT_K_FINE,
-    delta0: float = DEFAULT_DELTA0,
-    steps: int = DEFAULT_BISECTION_STEPS,
-) -> AnalysisResult:
+def analyze(omega: ParamInterval, *, settings: Settings = Settings()) -> AnalysisResult:
     """Full certified analysis of one parameter interval: radius bisection
     at the coarse resolution, then the exponent bound at the fine one.
 
@@ -176,18 +172,18 @@ def analyze(
     ACYCLIC status with the radius but no finite exponent.
     """
     start = time.perf_counter()
-    check_settings(k_coarse=k_coarse, k_fine=k_fine, delta0=delta0, steps=steps)
 
     def done(status, d=None, lam=None):
         elapsed = int(round((time.perf_counter() - start) * 1000.0))
         return AnalysisResult(
-            omega.index, omega.a_lo, omega.a_hi, status, d, lam, k_coarse, k_fine, elapsed
+            omega.index, omega.a_lo, omega.a_hi, status, d, lam,
+            settings.k_coarse, settings.k_fine, elapsed,
         )
 
-    bound = delta_bound(omega, k_coarse=k_coarse, delta0=delta0, steps=steps)
+    bound = delta_bound(omega, settings=settings)
     if bound is None:
         return done(Status.NO_EXPANSION_AT_DELTA0)
-    fine = lambda_bound(omega, bound.delta_bar, k_fine)
+    fine = lambda_bound(omega, bound.delta_bar, settings.k_fine)
     if bound.coarse_lambda is None or fine is None:
         return done(Status.ACYCLIC, d=bound.delta_bar)
     if not math.isfinite(fine):

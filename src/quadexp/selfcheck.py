@@ -145,5 +145,7 @@ def run_selfcheck(
         # the final point contributes no edge; compare over n-1 steps
         if logsum < bound - 1e-9:
             violations += 1
-    report("path-inequality", violations == 0, f"{violations} violations over {used} orbits")
+    # over no orbit the check has checked nothing, which is no pass
+    passed = used > 0 and violations == 0
+    report("path-inequality", passed, f"{violations} violations over {used} orbits")
     return ok

@@ -3,18 +3,20 @@ ordered checkpointed CSV output, resume by appending, and plot-data
 emission.
 
 One process-pool loop serves every worker count (even one worker
-analyzes in a child process), keeping four tasks per worker in flight; a
-reorder buffer holds out-of-order results, rows are written in index
-order and flushed every ``checkpoint_every`` rows.  Workers are always
-forked, whatever the platform's default start method, so they see the
-sweep's module state (a patched ``analyze`` included) and can exit when
-the sweep's process dies.  Beside the results file,
-``<output>.config`` records the settings that decide the rows' bytes; a
-restart with the same settings truncates the file just past its
-contiguous prefix of complete rows and appends after it (kept rows are
-never rewritten); any other restart starts over.  The file bytes are a
-pure function of the configuration minus the worker count, so per-row
-wall time is not recorded (the elapsed field is left empty).
+analyzes in a child process), keeping four tasks per worker in flight,
+with no more workers than rows left; a reorder buffer holds out-of-order
+results, and rows are written in index order, each flushed as it is
+written (so a killed sweep keeps every finished row) and fsynced every
+``FSYNC_EVERY`` rows.  Workers are always forked, whatever the
+platform's default start method, so they see the sweep's module state (a
+patched ``analyze`` included) and can exit when the sweep's process dies.
+Beside the results file, ``<output>.config`` records the grid and the
+analysis ``Settings``, which decide the rows' bytes; a restart with the
+same ones truncates the file just past its contiguous prefix of complete
+rows and appends after it (kept rows are never rewritten); any other
+restart starts over.  The file bytes are a pure function of the
+configuration minus the worker count, so per-row wall time is not
+recorded (the elapsed field is left empty).
 """
 
 from __future__ import annotations
@@ -25,19 +27,10 @@ import sys
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
-from .expansivity import (
-    DEFAULT_BISECTION_STEPS,
-    DEFAULT_DELTA0,
-    DEFAULT_K_COARSE,
-    DEFAULT_K_FINE,
-    AnalysisResult,
-    Status,
-    analyze,
-    check_settings,
-)
+from .expansivity import AnalysisResult, Settings, Status, analyze
 from .family import ParamInterval
 from .partition import ParamGrid, subdivide_parameters
 from .rigor import representable
@@ -57,6 +50,7 @@ CSV_HEADER = (
 )
 
 DEFAULT_N = 60000
+FSYNC_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -66,13 +60,9 @@ class SweepConfig:
     n: int = DEFAULT_N
     first: int = 0
     last: int = DEFAULT_N
-    k_coarse: int = DEFAULT_K_COARSE
-    k_fine: int = DEFAULT_K_FINE
-    delta0: float = DEFAULT_DELTA0
-    bisection_steps: int = DEFAULT_BISECTION_STEPS
+    settings: Settings = Settings()
     workers: int = 1
     output_path: str = "results.csv"
-    checkpoint_every: int = 16
 
     def validate(self) -> None:
         if not (0.0 < self.a_min and self.a_max <= 2.0):
@@ -81,14 +71,6 @@ class SweepConfig:
             raise ValueError(f"index range [{self.first}, {self.last}) not within [0, {self.n})")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint interval must be positive")
-        check_settings(
-            k_coarse=self.k_coarse,
-            k_fine=self.k_fine,
-            delta0=self.delta0,
-            steps=self.bisection_steps,
-        )
 
 
 def _hex(x: float | None) -> str:
@@ -153,28 +135,23 @@ def _exit_with_parent(parent: int) -> None:
 
 def _analyze_task(omega: ParamInterval, config: SweepConfig) -> tuple[int, str]:
     try:
-        res = analyze(
-            omega,
-            k_coarse=config.k_coarse,
-            k_fine=config.k_fine,
-            delta0=config.delta0,
-            steps=config.bisection_steps,
-        )
+        res = analyze(omega, settings=config.settings)
     except Exception as exc:  # a panic in one interval must not kill the sweep
         print(f"analysis of interval {omega.index} failed: {exc!r}", file=sys.stderr)
         res = AnalysisResult(
             omega.index, omega.a_lo, omega.a_hi, Status.ERROR, None, None,
-            config.k_coarse, config.k_fine, 0,
+            config.settings.k_coarse, config.settings.k_fine, 0,
         )
     return omega.index, format_row(res)
 
 
-def _settings(config: SweepConfig) -> str:
-    """The configuration fields that decide the rows' bytes (not the
-    worker count, index range, output path or checkpoint interval), one
-    ``name value`` line each (a float's repr reads back bit-exactly)."""
-    fields = ("a_min", "a_max", "n", "k_coarse", "k_fine", "delta0", "bisection_steps")
-    return "".join(f"{name} {getattr(config, name)!r}\n" for name in fields)
+def _config_text(config: SweepConfig) -> str:
+    """The configuration that decides the rows' bytes (the grid and the
+    analysis settings, not the worker count, index range or output path),
+    one ``name value`` line each (a float's repr reads back bit-exactly)."""
+    grid = {"a_min": config.a_min, "a_max": config.a_max, "n": config.n}
+    fields = {**grid, **asdict(config.settings)}
+    return "".join(f"{name} {value!r}\n" for name, value in fields.items())
 
 
 def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> tuple[int, int]:
@@ -185,7 +162,7 @@ def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> tuple[
     settings, or when a row's resolutions or endpoints are not this grid's."""
     try:
         with open(path + ".config", "r", encoding="ascii", errors="replace") as fh:
-            if fh.read() != _settings(config):
+            if fh.read() != _config_text(config):
                 return 0, 0
         with open(path, "rb") as fh:
             data = fh.read()
@@ -208,7 +185,7 @@ def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> tuple[
             break
         omega = grid.interval(index)
         if (res.k_coarse, res.k_fine, res.a_lo, res.a_hi) != (
-            config.k_coarse, config.k_fine, omega.a_lo, omega.a_hi
+            config.settings.k_coarse, config.settings.k_fine, omega.a_lo, omega.a_hi
         ):
             return 0, 0  # file from a different configuration: start over
         kept += 1
@@ -234,31 +211,35 @@ def run_sweep(config: SweepConfig) -> str:
         # run's; a lost settings file only costs recomputation, hence no fsync
         out.truncate(offset)
         with open(config.output_path + ".config", "w", encoding="ascii", newline="\n") as fh:
-            fh.write(_settings(config))
+            fh.write(_config_text(config))
         if offset == 0:
             out.write(CSV_HEADER + "\n")
 
+        # a forking pool starts all its workers at the first submit, so it
+        # gets no more than there are rows left (and none when no row is)
+        workers = min(config.workers, config.last - start)
         buffered: dict[int, str] = {}
         running: set = set()
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            config.workers, fork, initializer=_exit_with_parent, initargs=(os.getpid(),)
-        ) as pool:
-            while True:
-                running |= {
-                    pool.submit(_analyze_task, grid.interval(i), config)
-                    for i in islice(todo, 4 * config.workers - len(running))
-                }
-                if not running:
-                    break
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                buffered.update(fut.result() for fut in done)
-                while next_index in buffered:
-                    out.write(buffered.pop(next_index) + "\n")
-                    next_index += 1
-                    if (next_index - start) % config.checkpoint_every == 0:
+        if workers:
+            with ProcessPoolExecutor(
+                workers, fork, initializer=_exit_with_parent, initargs=(os.getpid(),)
+            ) as pool:
+                while True:
+                    running |= {
+                        pool.submit(_analyze_task, grid.interval(i), config)
+                        for i in islice(todo, 4 * workers - len(running))
+                    }
+                    if not running:
+                        break
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    buffered.update(fut.result() for fut in done)
+                    while next_index in buffered:
+                        out.write(buffered.pop(next_index) + "\n")
                         out.flush()
-                        os.fsync(out.fileno())
+                        next_index += 1
+                        if (next_index - start) % FSYNC_EVERY == 0:
+                            os.fsync(out.fileno())
         out.flush()
         os.fsync(out.fileno())
     if next_index != config.last:

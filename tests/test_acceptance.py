@@ -27,7 +27,7 @@ from quadexp.digraph import (
     min_cycle_mean_karp,
     min_cycle_mean_lowmem,
 )
-from quadexp.expansivity import Status, analyze, lambda_bound
+from quadexp.expansivity import Settings, Status, analyze, lambda_bound
 from quadexp.family import ParamInterval, phase_domain
 from quadexp.partition import phase_partition, subdivide_parameters
 from quadexp.rigor import (
@@ -258,7 +258,7 @@ def test_criterion_05_certificate_soundness():
     index = 59999
     while len(successes) < 5 and index > 59900:
         omega = grid.interval(index)
-        res = analyze(omega, k_fine=2000)
+        res = analyze(omega, settings=Settings(k_fine=2000))
         if res.status is Status.SUCCESS:
             successes.append((omega, res))
         index -= 1
@@ -327,14 +327,14 @@ def test_criterion_07_failure_regions():
     assert last - first > 900
     for index in range(first, last + 1):
         omega = grid.interval(index)
-        res = analyze(omega, k_fine=2000)
+        res = analyze(omega, settings=Settings(k_fine=2000))
         assert res.status is Status.NO_EXPANSION_AT_DELTA0, (index, res.status)
 
     low_failures = 0
     for index in (0, 2000, 5000, 8000):
         omega = grid.interval(index)
         assert omega.a_lo < 1.50
-        res = analyze(omega, k_fine=2000)
+        res = analyze(omega, settings=Settings(k_fine=2000))
         low_failures += res.status is Status.NO_EXPANSION_AT_DELTA0
     assert low_failures >= 1
 
@@ -355,12 +355,9 @@ def _sweep_config(tmp_path, name, workers):
     return SweepConfig(
         first=59980,
         last=60000,
-        k_coarse=400,
-        k_fine=800,
-        bisection_steps=8,
+        settings=Settings(k_coarse=400, k_fine=800, bisection_steps=8),
         workers=workers,
         output_path=str(tmp_path / name),
-        checkpoint_every=1,
     )
 
 
@@ -382,7 +379,7 @@ def test_criterion_09_sweep_determinism(tmp_path):
             sys.executable, "-m", "quadexp.cli", "sweep",
             "--first", "59980", "--last", "60000",
             "--k-coarse", "400", "--k-fine", "800", "--steps", "8",
-            "--workers", "1", "--checkpoint-every", "1",
+            "--workers", "1",
             "--output", str(out),
         ],
         stdout=subprocess.DEVNULL,
@@ -412,10 +409,9 @@ def test_criterion_10_sweep_proxy(tmp_path):
         n=200,
         first=0,
         last=200,
-        k_fine=2000,
+        settings=Settings(k_fine=2000),
         workers=2,
         output_path=str(tmp_path / "proxy.csv"),
-        checkpoint_every=8,
     )
     path = run_sweep(config)
     with open(path) as fh:

@@ -1,3 +1,4 @@
+import os
 import shlex
 from pathlib import Path
 
@@ -117,12 +118,22 @@ class TestLambdaAndKstudy:
         assert float.fromhex(out.split()[0]) == lambda_bound(ParamInterval(0, 2.0, 2.0), 0.001, 100)
 
     def test_kstudy_rejects_negative_steps(self, capsys):
-        code, out, err = run_cli(
-            capsys, "kstudy", *FAST_INTERVAL, "--k-list", "100", "--steps", "-1"
-        )
-        assert code == 1
+        # with a given radius too: a bad flag is not silently ignored
+        for radius in ([], ["--delta", "0.001"]):
+            code, out, err = run_cli(
+                capsys, "kstudy", *FAST_INTERVAL, "--k-list", "100", "--steps", "-1", *radius
+            )
+            assert code == 1
+            assert out == ""
+            assert "bisection steps must be >= 0" in err
+
+    def test_kstudy_checks_the_whole_k_list_first(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kstudy", *FAST_INTERVAL, "--k-list", "20000,3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "bisection steps must be >= 0" in err
+        assert "cell count must be even and >= 2, got 3" in err
 
     def test_hex_float_flag_accepted(self, capsys):
         code, out, _ = run_cli(
@@ -209,6 +220,14 @@ class TestSweepAndPlotData:
         assert code == 0
         assert (tmp_path / "lambda_by_param.dat").exists()
 
+    def test_bad_setting_writes_nothing(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--k-coarse", "1001", "--output", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert "coarse cell count must be even" in err
+        assert os.listdir(tmp_path) == []
+
     def test_plotdata_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "plotdata", "--results", str(tmp_path / "no.csv"))
         assert code == 1
@@ -252,6 +271,12 @@ class TestSelfCheck:
                 "--orbits", "10", "--steps", "200", "--seed", seed,
             )
             assert code == 0
+
+    @pytest.mark.parametrize("flags", [["--steps", "1"], ["--orbits", "0"]])
+    def test_no_orbit_checked_is_no_pass(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "selfcheck", *FAST_INTERVAL, *flags)
+        assert code == 1
+        assert "FAIL path-inequality: 0 violations over 0 orbits" in out
 
 
 class TestReadmeExamples:

@@ -6,6 +6,7 @@ import pytest
 
 import quadexp.expansivity as expansivity
 from quadexp.expansivity import (
+    Settings,
     Status,
     _mid_up,
     analyze,
@@ -85,17 +86,17 @@ class TestDeltaBound:
 
     def test_rejects_bad_delta0(self, flagship):
         with pytest.raises(ValueError):
-            delta_bound(flagship, delta0=0.0)
+            delta_bound(flagship, settings=Settings(delta0=0.0))
 
     def test_checks_its_own_settings(self, flagship, monkeypatch):
-        # the same checks and messages as check_settings, before any solve
+        # a bad setting fails where the Settings are made, before any solve
         monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
         with pytest.raises(ValueError, match="bisection steps must be >= 0, got -1"):
-            delta_bound(flagship, steps=-1)
+            delta_bound(flagship, settings=Settings(bisection_steps=-1))
         with pytest.raises(ValueError, match="initial radius must be positive and finite"):
-            delta_bound(flagship, delta0=math.nan)
+            delta_bound(flagship, settings=Settings(delta0=math.nan))
         with pytest.raises(ValueError, match="coarse cell count must be even"):
-            delta_bound(flagship, k_coarse=999)
+            delta_bound(flagship, settings=Settings(k_coarse=999))
 
     def test_coarse_lambda_is_the_probe_at_delta_bar(self, flagship):
         bound = delta_bound(flagship)
@@ -104,7 +105,7 @@ class TestDeltaBound:
 
 class TestAnalyze:
     def test_success_path(self, flagship):
-        res = analyze(flagship, k_fine=2000)
+        res = analyze(flagship, settings=Settings(k_fine=2000))
         assert res.status is Status.SUCCESS
         assert res.delta_bar is not None and 0.0 < res.delta_bar <= 0.001
         assert res.lambda_bar is not None and res.lambda_bar > 0.0
@@ -113,7 +114,7 @@ class TestAnalyze:
         assert res.certified()
 
     def test_failure_path(self):
-        res = analyze(window_interval(), k_fine=400)
+        res = analyze(window_interval(), settings=Settings(k_fine=400))
         assert res.status is Status.NO_EXPANSION_AT_DELTA0
         assert res.delta_bar is None and res.lambda_bar is None
         assert not res.certified()
@@ -126,25 +127,25 @@ class TestAnalyze:
     def test_bad_settings_fail_before_any_solve(self, flagship, monkeypatch):
         monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
         with pytest.raises(ValueError, match="even"):
-            analyze(flagship, k_fine=2001)
+            analyze(flagship, settings=Settings(k_fine=2001))
 
     def test_settings_are_keyword_only(self, flagship, monkeypatch):
-        # the three take the settings by name, so no caller can pass them
-        # in another function's order
+        # settings are passed by name, so no caller can give them in
+        # another order
         monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
         with pytest.raises(TypeError):
-            analyze(flagship, 2000)
+            Settings(1000, 20000, 0.001, 20)
         with pytest.raises(TypeError):
-            delta_bound(flagship, 0.001)
+            analyze(flagship, Settings())
         with pytest.raises(TypeError):
-            expansivity.check_settings(1000, 20000, 0.001, 20)
+            delta_bound(flagship, Settings())
 
     def test_fine_partition_artifact(self, flagship, monkeypatch):
         # a nonpositive fine bound leaves the coarse certificate standing
         monkeypatch.setattr(
             expansivity, "lambda_bound", lambda omega, delta, k: 0.5 if k == 200 else -0.125
         )
-        res = analyze(flagship, k_fine=64, k_coarse=200, steps=4)
+        res = analyze(flagship, settings=Settings(k_fine=64, k_coarse=200, bisection_steps=4))
         assert res.status is Status.SUCCESS
         assert res.delta_bar is not None and 0.0 < res.delta_bar <= 0.001
         assert res.lambda_bar == 0.5
@@ -163,7 +164,7 @@ class TestAnalyze:
         monkeypatch.setattr(
             expansivity, "lambda_bound", lambda omega, delta, k: 0.5 if k == 200 else None
         )
-        res = analyze(flagship, k_fine=64, k_coarse=200, steps=4)
+        res = analyze(flagship, settings=Settings(k_fine=64, k_coarse=200, bisection_steps=4))
         assert res.status is Status.ACYCLIC
         assert res.delta_bar is not None and res.lambda_bar is None
 
@@ -173,7 +174,7 @@ class TestAnalyze:
         monkeypatch.setattr(
             expansivity, "lambda_bound", lambda omega, delta, k: None if k == 200 else 0.5
         )
-        res = analyze(flagship, k_fine=64, k_coarse=200, steps=4)
+        res = analyze(flagship, settings=Settings(k_fine=64, k_coarse=200, bisection_steps=4))
         assert res.status is Status.ACYCLIC
         # vacuous certificates drive the bisection all the way down
         assert res.delta_bar is not None and 0.0 < res.delta_bar <= 0.001
@@ -214,7 +215,7 @@ class TestBisectionBehavior:
             return 1.0 if delta >= threshold else -1.0
 
         monkeypatch.setattr(expansivity, "lambda_bound", fake)
-        bound = delta_bound(flagship, steps=20)
+        bound = delta_bound(flagship, settings=Settings(bisection_steps=20))
         assert bound is not None
         assert bound.delta_bar >= threshold
         assert bound.delta_bar - threshold < 0.001 * 2.0**-19

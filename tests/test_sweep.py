@@ -9,7 +9,7 @@ import time
 import pytest
 
 import quadexp.sweep as sweep_mod
-from quadexp.expansivity import AnalysisResult, Status
+from quadexp.expansivity import AnalysisResult, Settings, Status
 from quadexp.rigor import representable
 from quadexp.sweep import (
     CSV_HEADER,
@@ -24,10 +24,7 @@ FAST = dict(
     a_min=representable("1.9999"),
     a_max=2.0,
     n=32,
-    k_coarse=200,
-    k_fine=400,
-    bisection_steps=6,
-    checkpoint_every=1,
+    settings=Settings(k_coarse=200, k_fine=400, bisection_steps=6),
 )
 
 
@@ -154,8 +151,9 @@ class TestRunSweep:
         # delta0 is not in the CSV; rows computed with another one must not
         # be kept (they would carry that run's radius)
         def config(name, delta0):
+            settings = Settings(k_coarse=1000, k_fine=2000, delta0=delta0, bisection_steps=6)
             return SweepConfig(
-                **{**FAST, "k_coarse": 1000, "k_fine": 2000, "delta0": delta0},
+                **{**FAST, "settings": settings},
                 last=2,
                 output_path=str(tmp_path / name),
             )
@@ -200,7 +198,7 @@ class TestRunSweep:
                 sys.executable, "-m", "quadexp.cli", "sweep",
                 "--first", "59000", "--last", "60000",
                 "--k-coarse", "400", "--k-fine", "800", "--steps", "8",
-                "--workers", "2", "--checkpoint-every", "1",
+                "--workers", "2",
                 "--output", str(out),
             ],
             stdout=subprocess.DEVNULL,
@@ -236,6 +234,50 @@ class TestRunSweep:
         text = (tmp_path / "s.csv.config").read_text()
         assert "delta0 0.001\nbisection_steps 6\n" in text
         assert "workers" not in text and "s.csv" not in text
+
+    def test_default_settings_file(self, tmp_path):
+        # row 0 of the default grid fails at the first probe, so is quick
+        run_sweep(SweepConfig(first=0, last=1, output_path=str(tmp_path / "d.csv")))
+        assert (tmp_path / "d.csv.config").read_text() == (
+            "a_min 1.4\n"
+            "a_max 2.0\n"
+            "n 60000\n"
+            "k_coarse 1000\n"
+            "k_fine 20000\n"
+            "delta0 0.001\n"
+            "bisection_steps 20\n"
+        )
+
+    def test_rows_reach_the_file_as_they_are_written(self, tmp_path, monkeypatch):
+        # a killed sweep keeps every finished row: none waits in a buffer
+        # while the sweep waits for the next results
+        path = tmp_path / "flushed.csv"
+        on_disk = []
+        real_wait = sweep_mod.wait
+
+        def spying_wait(*args, **kwargs):
+            on_disk.append(len(path.read_bytes().splitlines()))
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "wait", spying_wait)
+        run_sweep(fast_config(tmp_path, "flushed.csv", last=6))
+        assert max(on_disk) > 1  # the header and at least one row
+
+    def test_no_more_workers_than_rows_left(self, tmp_path, monkeypatch):
+        # a forking pool starts all its workers at the first submit
+        started = []
+
+        class Spy(sweep_mod.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                started.append(len(self._processes or ()))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", Spy)
+        run_sweep(fast_config(tmp_path, "one.csv", first=3, last=4, workers=4))
+        assert started == [1]
+        # with every row kept, no pool is opened
+        run_sweep(fast_config(tmp_path, "one.csv", first=3, last=4, workers=4))
+        assert started == [1]
 
     def test_panic_recorded_and_continues(self, tmp_path, monkeypatch):
         real = sweep_mod.analyze
@@ -277,16 +319,17 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(workers=0, output_path="x.csv").validate()
         for bad in (dict(k_coarse=1001), dict(k_fine=0), dict(delta0=0.0),
-                    dict(delta0=float("inf")), dict(bisection_steps=-1),
-                    dict(a_min=0.0), dict(a_max=2.5), dict(a_min=float("nan"))):
+                    dict(delta0=float("inf")), dict(bisection_steps=-1)):
+            with pytest.raises(ValueError):
+                Settings(**bad)
+        for bad in (dict(a_min=0.0), dict(a_max=2.5), dict(a_min=float("nan"))):
             with pytest.raises(ValueError):
                 SweepConfig(output_path="x.csv", **bad).validate()
 
     def test_settings_that_fail_every_row_write_nothing(self, tmp_path):
         out = str(tmp_path / "x.csv")
-        cfg = SweepConfig(first=0, last=3, k_coarse=1001, output_path=out)
         with pytest.raises(ValueError, match="even"):
-            run_sweep(cfg)
+            run_sweep(SweepConfig(settings=Settings(k_coarse=1001), output_path=out))
         cfg = SweepConfig(a_min=2.5, a_max=3.0, n=4, first=0, last=4, output_path=out)
         with pytest.raises(ValueError, match=r"outside \(0, 2\]"):
             run_sweep(cfg)
