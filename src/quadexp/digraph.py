@@ -1,11 +1,11 @@
 """Transition digraph of the map on the partitioned phase space, and
 minimum-cycle-mean solvers over it.
 
-The graph has one vertex per partition cell plus one for the closed
-critical cell.  Edges over-approximate the transition relation (an edge is
-present whenever the parameter-uniform image enclosure of the source cell
-meets the target), and each edge weight under-approximates log|f'| on the
-set of points realizing the transition.  Consequently the sum of weights
+Graph vertex i is partition cell i, the closed critical cell included.
+Edges over-approximate the transition relation (an edge is present
+whenever the parameter-uniform image enclosure of the source cell meets
+the target), and each edge weight under-approximates log|f'| on the set of
+points realizing the transition.  Consequently the sum of weights
 along any path matching a true orbit is a lower bound for the log of the
 accumulated derivative, and the minimum mean weight over all cycles is a
 certified lower bound for the expansion exponent.
@@ -75,9 +75,11 @@ def _ranges(begin, end):
 class WeightedDigraph:
     """Finite digraph with at most one weighted edge per vertex pair.
 
-    Edges are held as parallel arrays sorted by (source, target); in
-    representation graphs the last vertex is the critical cell, which never
-    has outgoing edges.
+    Edges are held as parallel arrays in strictly increasing (source,
+    target) order: the constructor requires that order, and ``from_edges``
+    sorts edges given in any order.  In representation graphs vertex i is
+    partition cell i, so the critical cell is the middle vertex, which
+    never has outgoing edges.
     """
 
     __slots__ = ("num_vertices", "src", "dst", "weight")
@@ -97,12 +99,12 @@ class WeightedDigraph:
                 raise ValueError("edge target out of range")
             if not np.all(np.isfinite(weight)):
                 raise ValueError("edge weights must be finite")
-            order = np.lexsort((dst, src))
-            src, dst, weight = src[order], dst[order], weight[order]
-            same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-            if np.any(same):
-                i = int(np.flatnonzero(same)[0])
-                raise ValueError(f"duplicate edge ({src[i]}, {dst[i]})")
+            key = src * num_vertices + dst
+            bad = np.flatnonzero(key[1:] <= key[:-1])
+            if bad.size:
+                i = int(bad[0]) + 1
+                what = "duplicate edge" if key[i] == key[i - 1] else "edge out of (source, target) order"
+                raise ValueError(f"{what} ({src[i]}, {dst[i]})")
         self.num_vertices = int(num_vertices)
         self.src = src
         self.dst = dst
@@ -110,7 +112,9 @@ class WeightedDigraph:
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges) -> "WeightedDigraph":
-        """Build from an iterable of (from, to, weight) triples."""
+        """Build from an iterable of (from, to, weight) triples in any
+        order."""
+        edges = sorted(edges, key=lambda e: (e[0], e[1]))
         src, dst, weight = list(zip(*edges)) or ((), (), ())
         return cls(num_vertices, src, dst, weight)
 
@@ -147,57 +151,56 @@ def _canonical_cycle(cycle: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # representation construction
 
-def _edge_weights(omega: ParamInterval, lo, hi, t_los, t_his, srcs, pos):
-    """Down-rounded infimum of log|2x| over the part of each edge's
-    positive source cell [lo[srcs], hi[srcs]] inside the preimage enclosure
-    of its target [t_los[pos], t_his[pos]].  A function of its own so that
-    its per-edge temporaries are freed before the graph sorts its edges."""
-    s_lo = sqrt_down(np.maximum(sub_down(omega.a_lo, t_his[pos]), 0.0))
-    s_hi = sqrt_up(sub_up(omega.a_hi, t_los[pos]))
-    j_lo = np.maximum(lo[srcs], s_lo)
-    if j_lo.size and np.any(j_lo > np.minimum(hi[srcs], s_hi)):
-        raise AssertionError("edge whose source does not meet the target preimage")
-    j_lo *= 2.0
-    return log_down(j_lo)
-
-
 def build_representation(omega: ParamInterval, partition: PhasePartition) -> WeightedDigraph:
     """Weighted digraph representing the family on the partitioned phase
     space, uniformly over the parameter interval.
 
-    Vertices 0..k-1 are the partition cells in ascending order; vertex k is
-    the closed critical cell.  An edge (c, t) is included whenever the
-    image enclosure of cell c (clamped to the phase domain) meets vertex t;
-    its weight is the down-rounded infimum of log|2x| over the part of c
-    that can actually reach t, i.e. the intersection of c with the
-    preimage enclosure of t.
+    Vertex i is partition cell i, so vertex k/2 is the closed critical
+    cell.  An edge (c, t) is included whenever the image enclosure of a
+    non-critical cell c (clamped to the phase domain) meets cell t; its
+    weight is the down-rounded infimum of log|2x| over the part of c that
+    can actually reach t, i.e. the intersection of c with the preimage
+    enclosure of t.  The edges come out in (source, target) order.
     """
     k = partition.k
     m = k // 2
     dom_sup = phase_domain(omega)
+    cell_lo, cell_hi = partition.bounds[:-1], partition.bounds[1:]
 
-    # targets: the cells in ascending order with the critical cell at
-    # position m, so one pair of searches finds every edge
-    t_los = np.insert(partition.los, m, -partition.delta)
-    t_his = np.insert(partition.his, m, partition.delta)
-
-    # sources: the positive cells m+s.  f(x) = a - x^2 is even and cell
-    # m-1-s is the exact negation of cell m+s, so both have the same image
+    # sources: the positive cells m+1+s.  f(x) = a - x^2 is even and cell
+    # m-1-s is the exact negation of cell m+1+s, so both have the same image
     # enclosure (hence targets) and the same min|x| on each preimage slice
     # (hence bit-identical weights): the negative cell copies the edges.
-    lo, hi = partition.los[m:], partition.his[m:]
+    lo, hi = cell_lo[m + 1:], cell_hi[m + 1:]
     img_lo = np.maximum(sub_down(omega.a_lo, mul_up(hi, hi)), -dom_sup)
     img_hi = np.minimum(sub_up(omega.a_hi, mul_down(lo, lo)), dom_sup)
 
-    # contiguous range of targets intersecting each image
-    first = np.searchsorted(t_his, img_lo, side="left")
-    counts = np.maximum(np.searchsorted(t_los, img_hi, side="right") - first, 0)
+    # contiguous, ascending run of targets intersecting each image
+    first = np.searchsorted(cell_hi, img_lo, side="left")
+    counts = np.maximum(np.searchsorted(cell_lo, img_hi, side="right") - first, 0)
     srcs = np.repeat(np.arange(m, dtype=np.int64), counts)
-    pos = _ranges(first, first + counts)
+    dsts = _ranges(first, first + counts)
 
-    weights = np.tile(_edge_weights(omega, lo, hi, t_los, t_his, srcs, pos), 2)
-    dsts = np.tile(np.where(pos == m, k, pos - (pos > m)), 2)
-    return WeightedDigraph(k + 1, np.concatenate((m + srcs, m - 1 - srcs)), dsts, weights)
+    # weight: down-rounded log|2x| at the inner end of the part of the
+    # source inside the target's preimage enclosure
+    s_lo = sqrt_down(np.maximum(sub_down(omega.a_lo, cell_hi[dsts]), 0.0))
+    s_hi = sqrt_up(sub_up(omega.a_hi, cell_lo[dsts]))
+    j_lo = np.maximum(lo[srcs], s_lo)
+    if j_lo.size and np.any(j_lo > np.minimum(hi[srcs], s_hi)):
+        raise AssertionError("edge whose source does not meet the target preimage")
+    j_lo *= 2.0
+    weights = log_down(j_lo)
+
+    # the negative cells 0..m-1 copy the positive runs last run first, so
+    # they precede the positive cells' edges in (source, target) order
+    ends = np.cumsum(counts)[::-1]
+    mirror = _ranges(ends - counts[::-1], ends)
+    return WeightedDigraph(
+        k + 1,
+        np.concatenate((m - 1 - srcs[mirror], m + 1 + srcs)),
+        np.concatenate((dsts[mirror], dsts)),
+        np.concatenate((weights[mirror], weights)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +485,10 @@ def load_graph(text: str) -> WeightedDigraph:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "vertices":
         raise ValueError("line 1: expected 'vertices <n>'")
-    n = int(head[1])
+    try:
+        n = int(head[1])
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
     edges = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():

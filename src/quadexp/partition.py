@@ -7,10 +7,11 @@ The parameter grid uses the gcd-truncated formula
 with every arithmetic step rounded to nearest, so grids for N and 2N agree
 bit-exactly at shared points.
 
-The phase partition subdivides the complement of the critical neighborhood
-(-delta, delta) into k cells, non-uniformly.  Two effects drive the cell
-sizing.  Near the critical neighborhood, breakpoints geometric in |x| keep
-the per-cell oscillation of log|2x| constant, so edge weight bounds are
+The phase partition is one ascending array of k + 2 cell bounds: its
+middle cell is the closed critical cell [-delta, delta], and the k cells
+outside it are sized non-uniformly.  Two effects drive the cell sizing.
+Near the critical neighborhood, breakpoints geometric in |x| keep the
+per-cell oscillation of log|2x| constant, so edge weight bounds are
 uniformly tight.  Near the endpoints +-p of the phase interval the
 dynamics is most sensitive: orbits leaving the critical neighborhood land
 in a sliver below the critical value (width ~ the parameter interval plus
@@ -68,22 +69,26 @@ def subdivide_parameters(a_min: float, a_max: float, n: int) -> ParamGrid:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PhasePartition:
-    """k cells [los[j], his[j]] covering I_omega minus (-delta, delta); the
-    closed critical cell is [-delta, delta].
+    """k + 1 cells [bounds[i], bounds[i + 1]] covering I_omega; cell k/2 is
+    the closed critical cell [-delta, delta].
 
-    ``los`` and ``his`` are read-only ascending float64 arrays.  Cells have
-    pairwise disjoint interiors, and adjacent cells on the same side of 0
-    share endpoints exactly, so the covered set has no gaps.  Negative-side
-    cells are exact negations of positive-side cells.
+    ``bounds`` is a read-only, strictly ascending float64 array of k + 2
+    values from -sup to sup, so adjacent cells share endpoints exactly and
+    the covered set has no gaps.  It is an exact negation of itself
+    reversed: negative-side cells are exact negations of positive-side
+    cells.
     """
 
-    delta: float
-    los: np.ndarray
-    his: np.ndarray
+    bounds: np.ndarray
 
     @property
     def k(self) -> int:
-        return self.los.size
+        """The number of cells outside the critical cell."""
+        return self.bounds.size - 2
+
+    @property
+    def delta(self) -> float:
+        return float(self.bounds[self.bounds.size // 2])
 
 
 # share of each half's cells available to the endpoint band, and the
@@ -151,13 +156,12 @@ def phase_partition(omega: ParamInterval, delta: float, k: int) -> PhasePartitio
         raise ValueError(f"critical radius {delta!r} swallows the phase domain (sup {sup!r})")
     smear = max(omega.a_hi - omega.a_lo, sup * 2.0**-48)
     b = _breakpoints(delta, sup, k, smear)
-    los = np.concatenate((-b[:0:-1], b[:-1]))
-    his = np.concatenate((-b[-2::-1], b[1:]))
-    los.flags.writeable = his.flags.writeable = False
-    return PhasePartition(delta, los, his)
+    bounds = np.concatenate((-b[::-1], b))
+    bounds.flags.writeable = False
+    return PhasePartition(bounds)
 
 
 def breakpoint_dump(partition: PhasePartition) -> list[str]:
-    """Hex-float lines of all cell boundaries in ascending order (the
+    """Hex-float lines of the cell bounds in ascending order (the
     ``partition`` CLI subcommand's output)."""
-    return [v.hex() for v in np.union1d(partition.los, partition.his).tolist()]
+    return [v.hex() for v in partition.bounds.tolist()]

@@ -1,6 +1,7 @@
 """Sampling-based diagnostics for a (parameter interval, radius, cell
 count) configuration: cell coverage, edge validity, and the path
-inequality along simulated orbits.
+inequality along simulated orbits.  A point's cells are found by
+bisecting the partition's bounds, and cell i is graph vertex i.
 
 These checks exercise the certified pipeline from the outside with random
 points; they are corroboration for debugging, not part of the proof (the
@@ -16,31 +17,15 @@ from typing import TextIO
 
 from .digraph import build_representation
 from .family import ParamInterval, phase_domain
-from .partition import PhasePartition, phase_partition
+from .partition import phase_partition
 from .rigor import add_down, mul_down, sqrt_down
 
-CRITICAL = -1
 
-
-class CellLocator:
-    """Maps points to partition cell indices (two at a shared endpoint);
-    CRITICAL for the open critical neighborhood, nothing if outside the
-    covered set."""
-
-    def __init__(self, partition: PhasePartition):
-        self.delta = partition.delta
-        self.los = partition.los.tolist()
-        self.his = partition.his.tolist()
-
-    def locate(self, x: float) -> list[int]:
-        if -self.delta < x < self.delta:
-            return [CRITICAL]
-        idx = bisect_right(self.los, x) - 1
-        found = []
-        for j in (idx, idx + 1):
-            if 0 <= j < len(self.los) and self.los[j] <= x <= self.his[j]:
-                found.append(j)
-        return found
+def cells_at(bounds: list[float], x: float) -> list[int]:
+    """Indices of the cells [bounds[i], bounds[i + 1]] holding x: two at an
+    inner bound, none outside [bounds[0], bounds[-1]]."""
+    i = bisect_right(bounds, x)
+    return [j for j in (i - 2, i - 1) if 0 <= j < len(bounds) - 1 and bounds[j] <= x <= bounds[j + 1]]
 
 
 def sample_orbit(a: float, x0: float, delta: float, sup: float, cap: int) -> list[float]:
@@ -85,7 +70,7 @@ def run_selfcheck(
 ) -> bool:
     partition = phase_partition(omega, delta, k)
     graph = build_representation(omega, partition)
-    locator = CellLocator(partition)
+    bounds = partition.bounds.tolist()
     sup = phase_domain(omega)
     edges = {(u, v): w for u, v, w in graph.edges()}
     ok = True
@@ -100,7 +85,7 @@ def run_selfcheck(
     misses = 0
     for _ in range(2000):
         x = rng.uniform(delta, sup) * (1 if rng.random() < 0.5 else -1)
-        if not locator.locate(x):
+        if not cells_at(bounds, x):
             misses += 1
     report("coverage", misses == 0, f"{misses} uncovered samples of 2000")
 
@@ -109,16 +94,11 @@ def run_selfcheck(
     for _ in range(2000):
         a = rng.uniform(omega.a_lo, omega.a_hi)
         x = rng.uniform(delta, sup) * (1 if rng.random() < 0.5 else -1)
-        here = locator.locate(x)
-        there = locator.locate(a - x * x)
+        here = cells_at(bounds, x)
+        there = cells_at(bounds, a - x * x)
         if not here or not there:
             continue
-        hit = any(
-            (c, d if d != CRITICAL else graph.num_vertices - 1) in edges
-            for c in here
-            for d in there
-        )
-        if not hit:
+        if not any((c, d) in edges for c in here for d in there):
             missing += 1
     report("edges", missing == 0, f"{missing} unmatched transitions of 2000")
 
@@ -133,7 +113,7 @@ def run_selfcheck(
         orbit = sample_orbit(a, x0, delta, sup, steps)
         if len(orbit) < 2:
             continue
-        cells_seq = [locator.locate(x) for x in orbit]
+        cells_seq = [cells_at(bounds, x) for x in orbit]
         if not all(cells_seq):
             continue
         used += 1

@@ -54,13 +54,10 @@ class Cell(NamedTuple):
 
 
 def cells_of(partition):
-    """The partition's cells [lo, hi], in ascending order."""
-    return [Cell(lo, hi) for lo, hi in zip(partition.los.tolist(), partition.his.tolist())]
-
-
-def critical_cell_of(partition):
-    """The closed critical cell [-delta, delta]."""
-    return Cell(-partition.delta, partition.delta)
+    """The partition's k + 1 cells [lo, hi] in vertex order: ascending, with
+    the closed critical cell [-delta, delta] at index k/2."""
+    bounds = partition.bounds.tolist()
+    return [Cell(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def random_int_graph(rng, max_vertices=8, weight_range=9):

@@ -1,3 +1,4 @@
+import math
 import os
 import shlex
 from pathlib import Path
@@ -6,7 +7,9 @@ import pytest
 
 from quadexp.cli import build_parser, main
 from quadexp.expansivity import lambda_bound
-from quadexp.family import ParamInterval
+from quadexp.family import ParamInterval, phase_domain
+from quadexp.partition import phase_partition
+from quadexp.selfcheck import cells_at
 from quadexp.sweep import CSV_HEADER, parse_row
 
 
@@ -169,6 +172,12 @@ class TestDumps:
             assert code == 0
             results[algo] = float.fromhex(out2.split()[0])
         assert abs(results["karp"] - results["lowmem"]) <= 1e-9
+        # the loaded dump solves to the bits the builder's own graph gives
+        code, out3, _ = run_cli(
+            capsys, "lambda", *FAST_INTERVAL, "--delta", "0.01", "--k", "60"
+        )
+        assert code == 0
+        assert float.fromhex(out3.split()[0]) == results["lowmem"]
 
     def test_mincyclemean_witness_and_none(self, capsys, tmp_path):
         f = tmp_path / "tri.txt"
@@ -254,6 +263,20 @@ class TestDefaults:
 
 
 class TestSelfCheck:
+    def test_cells_at(self):
+        om = ParamInterval(0, 1.8, 1.81)
+        part = phase_partition(om, 0.01, 8)
+        bounds, sup = part.bounds.tolist(), phase_domain(om)
+        # the critical cell is 4, and +-delta are shared with its neighbours
+        assert cells_at(bounds, 0.0) == [4]
+        assert cells_at(bounds, -0.01) == [3, 4]
+        assert cells_at(bounds, 0.01) == [4, 5]
+        assert cells_at(bounds, bounds[2]) == [1, 2]
+        assert cells_at(bounds, -sup) == [0]
+        assert cells_at(bounds, sup) == [8]
+        assert cells_at(bounds, math.nextafter(-sup, -math.inf)) == []
+        assert cells_at(bounds, math.nextafter(sup, math.inf)) == []
+
     def test_selfcheck_passes(self, capsys):
         code, out, _ = run_cli(
             capsys,

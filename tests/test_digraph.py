@@ -24,7 +24,7 @@ from quadexp.family import ParamInterval, phase_domain
 from quadexp.partition import breakpoint_dump, phase_partition
 from quadexp.rigor import representable
 
-from conftest import cells_of, critical_cell_of, random_int_graph
+from conftest import cells_of, random_int_graph
 
 
 def reference_representation(omega, partition):
@@ -37,9 +37,11 @@ def reference_representation(omega, partition):
     iv.prec = 53
     a = iv.mpf([omega.a_lo, omega.a_hi])
     sup = float(((1 + iv.sqrt(1 + 4 * a)) / 2).b)
-    vertices = cells_of(partition) + [critical_cell_of(partition)]
+    vertices = cells_of(partition)
     edges = []
-    for j, (lo, hi) in enumerate(vertices[:-1]):
+    for j, (lo, hi) in enumerate(vertices):
+        if j == partition.k // 2:
+            continue  # the critical cell has no out-edges
         img = a - iv.mpf([lo, hi]) ** 2
         img_lo, img_hi = max(img.a, -sup), min(img.b, sup)
         for t, (t_lo, t_hi) in enumerate(vertices):
@@ -58,8 +60,17 @@ def reference_representation(omega, partition):
 
 class TestGraphContainer:
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
             WeightedDigraph.from_edges(2, [(0, 1, 1.0), (0, 1, 2.0)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 0\)"):
+            WeightedDigraph(2, [0, 1, 1], [1, 0, 0], [1.0, 2.0, 3.0])
+
+    def test_unsorted_edges_rejected(self):
+        # the constructor checks (source, target) order; only from_edges sorts
+        with pytest.raises(ValueError, match=r"order \(0, 1\)"):
+            WeightedDigraph(3, [1, 0], [0, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"order \(0, 1\)"):
+            WeightedDigraph(3, [0, 0], [2, 1], [1.0, 1.0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -89,7 +100,8 @@ class TestBuildRepresentation:
     def test_critical_cell_has_no_out_edges(self):
         om = ParamInterval(0, representable("1.9999"), 2.0)
         g = build_representation(om, phase_partition(om, 0.001, 100))
-        assert int(g.src.max()) < g.num_vertices - 1
+        assert 50 not in g.src
+        assert set(g.src.tolist()) == set(range(101)) - {50}
 
     def test_matches_scalar_reference(self):
         for a_lo, a_hi, delta, k in (
@@ -124,18 +136,19 @@ class TestBuildRepresentation:
         g = build_representation(om, part)
         edges = {(u, v) for u, v, _ in g.edges()}
         cells = cells_of(part)
+        m = part.k // 2
         sup = phase_domain(om)
         hits = 0
         for _ in range(10000):
             a = rng.uniform(om.a_lo, om.a_hi)
             x = rng.uniform(0.001, sup) * (1 if rng.random() < 0.5 else -1)
-            sources = [j for j, c in enumerate(cells) if c.lo <= x <= c.hi]
+            sources = [j for j, c in enumerate(cells) if j != m and c.lo <= x <= c.hi]
             if not sources:
                 continue
             y = a - x * x
-            targets = [j for j, c in enumerate(cells) if c.lo <= y <= c.hi]
+            targets = [j for j, c in enumerate(cells) if j != m and c.lo <= y <= c.hi]
             if -0.001 < y < 0.001 or not targets:
-                targets = targets + [len(cells)]
+                targets = targets + [m]
             assert any((s, t) in edges for s in sources for t in targets), (a, x, y)
             hits += 1
         assert hits > 9000
@@ -145,7 +158,7 @@ class TestBuildRepresentation:
         om = ParamInterval(0, 1.75, 1.7501)
         part = phase_partition(om, 0.01, 60)
         g = build_representation(om, part)
-        cells = cells_of(part) + [critical_cell_of(part)]
+        cells = cells_of(part)
         for u, v, w in g.edges():
             # sample points of the source that truly reach the target
             src, tgt = cells[u], cells[v]
@@ -409,7 +422,7 @@ class TestWitnesses:
         for solver in (min_cycle_mean_karp, min_cycle_mean_lowmem):
             r = solver(g)
             assert r.witness_cycle is not None
-            assert g.num_vertices - 1 not in r.witness_cycle
+            assert 100 not in r.witness_cycle
 
 
 class TestMonotonicity:
@@ -438,6 +451,7 @@ class TestPathInequality:
         g = build_representation(om, part)
         weights = {(u, v): w for u, v, w in g.edges()}
         cells = cells_of(part)
+        m = part.k // 2
         sup = phase_domain(om)
         checked = 0
         for _ in range(200):
@@ -455,7 +469,7 @@ class TestPathInequality:
             seq = []
             ok = True
             for t in orbit:
-                cand = [j for j, c in enumerate(cells) if c.lo <= t <= c.hi]
+                cand = [j for j, c in enumerate(cells) if j != m and c.lo <= t <= c.hi]
                 if not cand:
                     ok = False
                     break
@@ -493,6 +507,8 @@ class TestDumpFormat:
     def test_malformed_lines(self):
         with pytest.raises(ValueError, match="line 1"):
             load_graph("nonsense 3\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_graph("vertices x\n")
         with pytest.raises(ValueError, match="line 2"):
             load_graph("vertices 2\n  0 1\n")
         with pytest.raises(ValueError, match="line 3"):
@@ -507,8 +523,18 @@ class TestDumpFormat:
     )
     def test_dump_bytes_are_locked(self, a_lo, a_hi, delta, k, digest):
         # SHA-256 of the breakpoint lines plus the graph dump: any change to
-        # the rounding, the partition or the edge set moves these bytes
+        # the rounding, the partition or the edge set moves these bytes.  The
+        # digests were taken with the critical cell numbered k, so the dump
+        # is hashed in that numbering: v < k/2 stays, k/2 -> k, v > k/2 -> v-1
         om = ParamInterval(0, representable(a_lo), representable(a_hi))
         part = phase_partition(om, representable(delta), k)
-        text = "\n".join(breakpoint_dump(part)) + "\n" + dump_graph(build_representation(om, part))
+        g = build_representation(om, part)
+        m = k // 2
+        v = np.arange(k + 1)
+        old = v - (v > m)
+        old[m] = k
+        renumbered = WeightedDigraph.from_edges(
+            k + 1, zip(old[g.src].tolist(), old[g.dst].tolist(), g.weight.tolist())
+        )
+        text = "\n".join(breakpoint_dump(part)) + "\n" + dump_graph(renumbered)
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -192,14 +192,11 @@ class TestDeltaMonotonicity:
         part = phase_partition(flagship, 0.0005, 400)
         m = part.k // 2
         base = min_cycle_mean_lowmem(build_representation(flagship, part)).value
-        los, his = part.los, part.his
+        bounds = part.bounds
         for strip in (1, 2, 3):
-            inner_hi = float(his[m + strip - 1])
-            nested = PhasePartition(
-                inner_hi,
-                np.concatenate((los[: m - strip], los[m + strip:])),
-                np.concatenate((his[: m - strip], his[m + strip:])),
-            )
+            # the critical cell grows to the strip-th bound past each of +-delta
+            nested = PhasePartition(np.concatenate((bounds[: m + 1 - strip], bounds[m + 1 + strip:])))
+            assert nested.k == part.k - 2 * strip and nested.delta == bounds[m + 1 + strip]
             wider = min_cycle_mean_lowmem(build_representation(flagship, nested)).value
             assert wider is None or wider >= base - 2e-9
 

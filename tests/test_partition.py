@@ -13,7 +13,7 @@ from quadexp.partition import (
 )
 from quadexp.rigor import RigorError, representable
 
-from conftest import cells_of, critical_cell_of
+from conftest import cells_of
 
 
 class TestParamGrid:
@@ -70,10 +70,11 @@ class TestPhasePartition:
     def test_k2_single_cells(self):
         part = phase_partition(ParamInterval(0, 1.0, 2.0), 1.0, 2)
         cells = cells_of(part)
-        assert len(cells) == 2
+        assert len(cells) == 3
         sup = phase_domain(ParamInterval(0, 1.0, 2.0))
         assert cells[0].lo == -sup and cells[0].hi == -1.0
-        assert cells[1].lo == 1.0 and cells[1].hi == sup
+        assert cells[1].lo == -1.0 and cells[1].hi == 1.0
+        assert cells[2].lo == 1.0 and cells[2].hi == sup
 
     def test_k4_geometric_breakpoints(self):
         # sup of the domain for a in [1, 2] is 2, so ratio (p/delta) = 2 per half
@@ -86,8 +87,8 @@ class TestPhasePartition:
     def test_cell_count_and_critical(self):
         om = ParamInterval(0, 1.8, 1.81)
         part = phase_partition(om, 0.001, 100)
-        assert part.k == 100
-        critical = critical_cell_of(part)
+        assert part.k == 100 and part.delta == 0.001
+        critical = cells_of(part)[part.k // 2]
         assert critical.lo == -0.001 and critical.hi == 0.001
 
     def test_coverage_sampling(self):
@@ -95,7 +96,7 @@ class TestPhasePartition:
         om = ParamInterval(0, representable("1.9999"), 2.0)
         part = phase_partition(om, 0.001, 500)
         sup = phase_domain(om)
-        cells = cells_of(part)
+        cells = [c for j, c in enumerate(cells_of(part)) if j != part.k // 2]
         for _ in range(10000):
             x = rng.uniform(0.001, sup) * (1 if rng.random() < 0.5 else -1)
             assert any(c.lo <= x <= c.hi for c in cells), x
@@ -105,13 +106,17 @@ class TestPhasePartition:
         part = phase_partition(om, 0.01, 64)
         m = part.k // 2
         cells = cells_of(part)
-        neg, pos = cells[:m], cells[m:]
+        neg, pos = cells[:m], cells[m + 1:]
         for a, b in zip(pos, pos[1:]):
             assert a.hi == b.lo
         for a, b in zip(neg, neg[1:]):
             assert a.hi == b.lo
         assert pos[0].lo == 0.01 and neg[-1].hi == -0.01
         assert pos[-1].hi == phase_domain(om)
+        bounds = part.bounds
+        assert bounds.dtype == np.float64 and not bounds.flags.writeable
+        assert bounds.size == part.k + 2 and np.all(bounds[:-1] < bounds[1:])
+        assert part.delta == bounds[m + 1] == 0.01
 
     def test_negative_cells_are_exact_negations(self):
         om = ParamInterval(0, 1.6, 1.62)
@@ -120,8 +125,10 @@ class TestPhasePartition:
         cells = cells_of(part)
         for j in range(m):
             mirror = cells[m - 1 - j]
-            cell = cells[m + j]
+            cell = cells[m + 1 + j]
             assert mirror.lo == -cell.hi and mirror.hi == -cell.lo
+        assert np.array_equal(part.bounds, -part.bounds[::-1])
+        assert part.delta == part.bounds[m + 1] == 0.005
 
     def test_validation(self):
         om = ParamInterval(0, 1.8, 1.81)
@@ -141,8 +148,8 @@ class TestPhasePartition:
     def test_no_cell_contains_zero_interior(self):
         om = ParamInterval(0, 1.9, 1.91)
         part = phase_partition(om, 1e-6, 2000)
-        for c in cells_of(part):
-            assert not (c.lo < 0.0 < c.hi)
+        for j, c in enumerate(cells_of(part)):
+            assert j == part.k // 2 or not (c.lo < 0.0 < c.hi)
 
 
 class TestBreakpointDump:
