@@ -2,8 +2,8 @@
 partition-size experiment, and debugging dumps of every pipeline stage.
 
 Data goes to standard output, diagnostics to standard error.  Exit codes:
-0 for success (including ACYCLIC analyses), 1 for certification failures,
-2 for usage errors.  Numeric flags accept decimal literals or explicit
+0 for success, 1 for certification failures and invalid settings, 2 for
+usage errors.  Numeric flags accept decimal literals or explicit
 ``0x...`` hex-floats; decimal endpoints are converted round-to-nearest.
 """
 
@@ -23,7 +23,7 @@ from .digraph import (
     min_cycle_mean_karp,
     min_cycle_mean_lowmem,
 )
-from .expansivity import Settings, Status, analyze, delta_bound, lambda_bound
+from .expansivity import Settings, analyze, delta_bound, lambda_bound
 from .family import ParamInterval
 from .partition import breakpoint_dump, phase_partition, subdivide_parameters
 from .rigor import representable
@@ -89,21 +89,20 @@ def _settings(args) -> Settings:
     )
 
 
-def _fmt_value(value: float | None) -> str:
-    return "ACYCLIC" if value is None else f"{value.hex()} {value:.17g}"
+def _fmt_value(value: float) -> str:
+    return f"{value.hex()} {value:.17g}"
 
 
 def _cmd_analyze(parser, args) -> int:
     omega = _interval_from_flags(parser, args)
     res = analyze(omega, settings=_settings(args))
     print(format_row(res, include_elapsed=True))
-    return 0 if res.status in (Status.SUCCESS, Status.ACYCLIC) else 1
+    return 0 if res.certified() else 1
 
 
 def _cmd_lambda(parser, args) -> int:
     omega = _interval_from_flags(parser, args)
-    value = lambda_bound(omega, args.delta, args.k)
-    print(_fmt_value(value))
+    print(_fmt_value(lambda_bound(omega, args.delta, args.k)))
     return 0
 
 
@@ -122,10 +121,7 @@ def _cmd_kstudy(parser, args) -> int:
         start = time.perf_counter()
         value = lambda_bound(omega, delta, k)
         elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
-        if value is None:
-            print(f"{k} ACYCLIC {elapsed_ms}")
-        else:
-            print(f"{k} {value.hex()} {value:.17g} {elapsed_ms}")
+        print(f"{k} {_fmt_value(value)} {elapsed_ms}")
     return 0
 
 

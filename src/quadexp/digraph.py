@@ -157,10 +157,10 @@ def build_representation(omega: ParamInterval, partition: PhasePartition) -> Wei
 
     Vertex i is partition cell i, so vertex k/2 is the closed critical
     cell.  An edge (c, t) is included whenever the image enclosure of a
-    non-critical cell c (clamped to the phase domain) meets cell t; its
-    weight is the down-rounded infimum of log|2x| over the part of c that
-    can actually reach t, i.e. the intersection of c with the preimage
-    enclosure of t.  The edges come out in (source, target) order.
+    non-critical cell c (clamped to the phase domain) meets cell t and c
+    meets the preimage enclosure of t (the two disagree only where x^2
+    underflows); its weight is the down-rounded infimum of log|2x| over
+    that intersection.  The edges come out in (source, target) order.
     """
     k = partition.k
     m = k // 2
@@ -186,8 +186,10 @@ def build_representation(omega: ParamInterval, partition: PhasePartition) -> Wei
     s_lo = sqrt_down(np.maximum(sub_down(omega.a_lo, cell_hi[dsts]), 0.0))
     s_hi = sqrt_up(sub_up(omega.a_hi, cell_lo[dsts]))
     j_lo = np.maximum(lo[srcs], s_lo)
-    if j_lo.size and np.any(j_lo > np.minimum(hi[srcs], s_hi)):
-        raise AssertionError("edge whose source does not meet the target preimage")
+    keep = j_lo <= np.minimum(hi[srcs], s_hi)
+    if not keep.all():
+        srcs, dsts, j_lo = srcs[keep], dsts[keep], j_lo[keep]
+        counts = np.bincount(srcs, minlength=m)
     j_lo *= 2.0
     weights = log_down(j_lo)
 
@@ -489,7 +491,9 @@ def load_graph(text: str) -> WeightedDigraph:
         n = int(head[1])
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
-    edges = []
+    if n < 1:
+        raise ValueError(f"line 1: graph needs at least one vertex, got {n}")
+    edges: dict[tuple[int, int], tuple[float, int]] = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -497,7 +501,14 @@ def load_graph(text: str) -> WeightedDigraph:
         if len(parts) != 3:
             raise ValueError(f"line {i}: expected '<from> <to> <weight-hex>'")
         try:
-            edges.append((int(parts[0]), int(parts[1]), float.fromhex(parts[2])))
+            u, v, w = int(parts[0]), int(parts[1]), float.fromhex(parts[2])
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from None
-    return WeightedDigraph.from_edges(n, edges)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {i}: edge ({u}, {v}) has a vertex outside [0, {n})")
+        if not math.isfinite(w):
+            raise ValueError(f"line {i}: edge weight {w!r} is not finite")
+        if (u, v) in edges:
+            raise ValueError(f"line {i}: duplicate edge ({u}, {v}), first on line {edges[u, v][1]}")
+        edges[u, v] = w, i
+    return WeightedDigraph.from_edges(n, ((u, v, w) for (u, v), (w, _) in edges.items()))

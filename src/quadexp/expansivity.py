@@ -6,7 +6,7 @@ A SUCCESS result (delta_bar, lambda_bar) certifies that every map in the
 parameter interval is lambda_bar-uniformly expanding outside
 (-delta_bar, delta_bar): orbits avoiding that neighborhood for n steps
 accumulate derivative at least C * exp(lambda_bar * n) for a constant C
-independent of n.
+independent of n.  Radii are at most 1, so every exponent bound is finite.
 
 The four settings that decide every result (the coarse and fine cell
 counts, the initial radius and the number of bisection steps) travel as
@@ -49,8 +49,8 @@ DEFAULT_K_FINE = 20000
 class Status(enum.Enum):
     """Outcome of the per-interval analysis.
 
-    ERROR is defensive only: it marks a sweep row whose analysis raised,
-    which the pipeline itself never does on valid input.
+    Every SUCCESS carries a finite exponent.  ERROR is defensive only: it
+    marks a sweep row whose analysis raised, never on valid input.
     FINE_PARTITION_ARTIFACT is no longer produced; it stays so that results
     files written when a nonpositive fine bound discarded the coarse one
     still parse.
@@ -59,7 +59,6 @@ class Status(enum.Enum):
     SUCCESS = "SUCCESS"
     NO_EXPANSION_AT_DELTA0 = "NO_EXPANSION_AT_DELTA0"
     FINE_PARTITION_ARTIFACT = "FINE_PARTITION_ARTIFACT"
-    ACYCLIC = "ACYCLIC"
     ERROR = "ERROR"
 
 
@@ -69,7 +68,7 @@ class Settings:
     (bisection) and fine stages, the initial radius, and the number of
     bisection steps.  Construction raises ValueError for settings that no
     interval can run with: a cell count that is odd or below 2, an initial
-    radius that is not positive and finite, or a negative number of steps."""
+    radius outside (0, 1], or a negative number of steps."""
 
     k_coarse: int = DEFAULT_K_COARSE
     k_fine: int = DEFAULT_K_FINE
@@ -82,6 +81,8 @@ class Settings:
                 raise ValueError(f"{name} cell count must be even and >= 2, got {k}")
         if not 0.0 < self.delta0 < math.inf:
             raise ValueError(f"initial radius must be positive and finite, got {self.delta0!r}")
+        if self.delta0 > 1.0:
+            raise ValueError(f"initial radius must be at most 1, got {self.delta0!r}")
         if self.bisection_steps < 0:
             raise ValueError(f"bisection steps must be >= 0, got {self.bisection_steps}")
 
@@ -108,22 +109,20 @@ class AnalysisResult:
 class DeltaBound:
     """Certified critical radius from the bisection stage, with the coarse
     expansion bound that certified it: the probe's value at delta_bar,
-    positive, or None when that coarse graph is acyclic (a vacuous
-    certificate: every orbit enters the neighborhood within k steps)."""
+    which is positive."""
 
     delta_bar: float
-    coarse_lambda: float | None
+    coarse_lambda: float
 
 
-def lambda_bound(omega: ParamInterval, delta: float, k: int) -> float | None:
+def lambda_bound(omega: ParamInterval, delta: float, k: int) -> float:
     """Certified lower bound for the expansion exponent of every map in
     omega outside (-delta, delta), from the minimum cycle mean of the
-    representation graph on k cells.
+    representation graph on k cells; delta must lie in (0, 1].
 
-    Returns None when the graph is acyclic (no orbit stays outside the
-    critical neighborhood for k consecutive steps, so expansion holds
-    vacuously at every exponent).  A value <= 0 certifies nothing at this
-    resolution.
+    The graph always has a cycle (the self-loop at the repelling fixed
+    point's cell), so the bound is a number, at most log(2 sup).  A value
+    <= 0 certifies nothing at this resolution.
     """
     partition = phase_partition(omega, delta, k)
     graph = build_representation(omega, partition)
@@ -141,12 +140,11 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
     coarse expansion bound at delta0 is already nonpositive.
 
     Bisects on [0, delta0], keeping as the upper end the smallest radius
-    whose coarse bound came out positive (an acyclic coarse graph counts as
-    a positive, vacuous certificate); after the fixed number of steps the
-    upper end is returned with its probe's value.
+    whose coarse bound came out positive; after the fixed number of steps
+    the upper end is returned with its probe's value.
     """
     coarse = lambda_bound(omega, settings.delta0, settings.k_coarse)
-    if coarse is not None and coarse <= 0.0:
+    if coarse <= 0.0:
         return None
     lo, hi = 0.0, settings.delta0
     for _ in range(settings.bisection_steps):
@@ -154,7 +152,7 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
         if not lo < mid < hi:
             break
         value = lambda_bound(omega, mid, settings.k_coarse)
-        if value is None or value > 0.0:
+        if value > 0.0:
             hi, coarse = mid, value
         else:
             lo = mid
@@ -167,9 +165,7 @@ def analyze(omega: ParamInterval, *, settings: Settings = Settings()) -> Analysi
 
     Both bounds hold for every map in omega outside (-delta_bar,
     delta_bar), so lambda_bar is the larger of the two: the fine bound
-    usually, the coarse one where re-partitioning lost ground.  An acyclic
-    graph at the accepted coarse radius or at the fine stage yields the
-    ACYCLIC status with the radius but no finite exponent.
+    usually, the coarse one where re-partitioning lost ground.
     """
     start = time.perf_counter()
 
@@ -184,8 +180,6 @@ def analyze(omega: ParamInterval, *, settings: Settings = Settings()) -> Analysi
     if bound is None:
         return done(Status.NO_EXPANSION_AT_DELTA0)
     fine = lambda_bound(omega, bound.delta_bar, settings.k_fine)
-    if bound.coarse_lambda is None or fine is None:
-        return done(Status.ACYCLIC, d=bound.delta_bar)
     if not math.isfinite(fine):
         raise AssertionError(f"non-finite exponent bound {fine!r}")
     return done(Status.SUCCESS, d=bound.delta_bar, lam=max(bound.coarse_lambda, fine))

@@ -149,11 +149,17 @@ def phase_partition(omega: ParamInterval, delta: float, k: int) -> PhasePartitio
         raise ValueError(f"parameter interval [{omega.a_lo!r}, {omega.a_hi!r}] outside (0, 2]")
     if not delta > 0.0:
         raise ValueError(f"critical radius must be positive, got {delta!r}")
+    # Radii of at most 1 give every representation graph a cycle.  For
+    # p = p(a_hi), 1 < |p| = (1 + sqrt(1 + 4 a_hi))/2 <= sup, so a positive
+    # cell c holds |p|.  Its outward-rounded image enclosure holds
+    # f_{a_hi}(|p|) = p, which lies in c's exact negation c', so the builder
+    # emits c -> c'; c' copies c's targets, so c' -> c' is a self-loop, and
+    # lambda_bound is at most its weight, at most log(2 sup).
+    if delta > 1.0:
+        raise ValueError(f"critical radius must be at most 1, got {delta!r}")
     if k < 2 or k % 2 != 0:
         raise ValueError(f"cell count must be even and >= 2, got {k}")
     sup = phase_domain(omega)
-    if delta >= sup:
-        raise ValueError(f"critical radius {delta!r} swallows the phase domain (sup {sup!r})")
     smear = max(omega.a_hi - omega.a_lo, sup * 2.0**-48)
     b = _breakpoints(delta, sup, k, smear)
     bounds = np.concatenate((-b[::-1], b))

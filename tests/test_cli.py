@@ -229,12 +229,20 @@ class TestSweepAndPlotData:
         assert code == 0
         assert (tmp_path / "lambda_by_param.dat").exists()
 
-    def test_bad_setting_writes_nothing(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--k-coarse", "1001"], "coarse cell count must be even", id="k-coarse"),
+            pytest.param(["--delta0", "5"], "initial radius must be at most 1", id="delta0"),
+        ],
+    )
+    def test_bad_setting_writes_nothing(self, capsys, tmp_path, flags, message):
         code, _, err = run_cli(
-            capsys, "sweep", "--k-coarse", "1001", "--output", str(tmp_path / "x.csv")
+            capsys, "sweep", "--a-min", "1.9999", "--a-max", "2", "--n", "16", "--last", "2",
+            *flags, "--output", str(tmp_path / "x.csv"),
         )
         assert code == 1
-        assert "coarse cell count must be even" in err
+        assert message in err
         assert os.listdir(tmp_path) == []
 
     def test_plotdata_missing_file(self, capsys, tmp_path):
@@ -284,7 +292,7 @@ class TestSelfCheck:
             "--orbits", "20", "--steps", "500", "--seed", "5",
         )
         assert code == 0
-        assert out.count("PASS") == 3 and "FAIL" not in out
+        assert out.count("PASS") == 2 and "FAIL" not in out
 
     def test_seed_changes_samples_not_verdict(self, capsys):
         for seed in ("1", "2"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
@@ -20,9 +20,10 @@ from quadexp.digraph import (
     min_cycle_mean_karp,
     min_cycle_mean_lowmem,
 )
+from quadexp.expansivity import lambda_bound
 from quadexp.family import ParamInterval, phase_domain
 from quadexp.partition import breakpoint_dump, phase_partition
-from quadexp.rigor import representable
+from quadexp.rigor import RigorError, representable
 
 from conftest import cells_of, random_int_graph
 
@@ -88,14 +89,42 @@ class TestBuildRepresentation:
             g = build_representation(om, phase_partition(om, 0.01, k))
             assert g.num_vertices == k + 1
 
-    def test_fixed_point_self_loop(self):
-        # at a = 2 the positive fixed point is 1; its cell maps over itself
-        om = ParamInterval(0, 2.0, 2.0)
-        part = phase_partition(om, 0.5, 4)
+    @given(
+        a=st.floats(0.0, 2.0, exclude_min=True),
+        b=st.one_of(st.none(), st.floats(0.0, 2.0, exclude_min=True)),
+        delta=st.floats(0.0, 1.0, exclude_min=True),
+        half=st.integers(1, 200),
+    )
+    @example(a=2.0, b=None, delta=0.5, half=2)  # p = -2, the cell [-2, ..] maps over itself
+    @example(a=2.0**-1074, b=None, delta=1.0, half=1)
+    @example(a=2.0**-1074, b=None, delta=2.0**-1074, half=1)  # delta^2 underflows
+    @example(a=1.0, b=2.0, delta=1.0, half=200)
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_point_self_loop(self, a, b, delta, half):
+        # a radius of at most 1 leaves |p(a_hi)| > 1 outside the critical
+        # cell; the negation c' of a cell c holding |p| holds p = f(|p|), so
+        # the builder emits c -> c' and, copying c's targets, c' -> c'
+        a_lo, a_hi = (a, a) if b is None else sorted((a, b))
+        om, k = ParamInterval(0, a_lo, a_hi), 2 * half
+        try:
+            part = phase_partition(om, delta, k)
+        except RigorError:
+            reject()  # breakpoints collide: k too large for [delta, sup]
         g = build_representation(om, part)
-        edges = {(u, v) for u, v, _ in g.edges()}
-        loops = [j for j, c in enumerate(cells_of(part)) if c.lo <= 1.0 <= c.hi and (j, j) in edges]
-        assert loops
+        weight = {(u, v): w for u, v, w in g.edges()}
+        # the positive cells holding |p| = (1 + sqrt(1 + 4 a_hi))/2, located
+        # exactly: for x > 1/2, |p| >= x iff (2x - 1)^2 <= 1 + 4 a_hi
+        disc = 1 + 4 * Fraction(a_hi)
+        holding = [
+            j for j, c in enumerate(cells_of(part))
+            if j > k // 2 and (2 * Fraction(c.lo) - 1) ** 2 <= disc <= (2 * Fraction(c.hi) - 1) ** 2
+        ]
+        assert holding
+        lam = lambda_bound(om, delta, k)
+        assert isinstance(lam, float)
+        for j in holding:
+            assert (j, k - j) in weight and (k - j, k - j) in weight
+            assert lam <= weight[k - j, k - j]
 
     def test_critical_cell_has_no_out_edges(self):
         om = ParamInterval(0, representable("1.9999"), 2.0)
@@ -513,6 +542,14 @@ class TestDumpFormat:
             load_graph("vertices 2\n  0 1\n")
         with pytest.raises(ValueError, match="line 3"):
             load_graph("vertices 2\n  0 1 0x1p0\n  1 0 zzz\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_graph("vertices 2\n  0 5 0x1p0\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_graph("vertices 2\n  0 1 inf\n")
+        with pytest.raises(ValueError, match="line 3: duplicate edge .*line 2"):
+            load_graph("vertices 2\n  0 1 0x1p0\n  0 1 0x1p1\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_graph("vertices 0\n")
 
     @pytest.mark.parametrize(
         "a_lo, a_hi, delta, k, digest",

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quadexp.expansivity as expansivity
+from quadexp.digraph import build_representation, min_cycle_mean_lowmem
 from quadexp.expansivity import (
     Settings,
     Status,
@@ -14,7 +17,7 @@ from quadexp.expansivity import (
     lambda_bound,
 )
 from quadexp.family import ParamInterval
-from quadexp.partition import subdivide_parameters
+from quadexp.partition import PhasePartition, phase_partition, subdivide_parameters
 from quadexp.rigor import representable
 
 
@@ -64,8 +67,7 @@ class TestMidpointRounding:
 class TestDeltaBound:
     def test_flagship(self, flagship, flagship_delta):
         assert 0.0 < flagship_delta <= 0.001
-        check = lambda_bound(flagship, flagship_delta, 1000)
-        assert check is None or check > 0.0
+        assert lambda_bound(flagship, flagship_delta, 1000) > 0.0
 
     def test_window_fails(self):
         assert delta_bound(window_interval()) is None
@@ -97,6 +99,9 @@ class TestDeltaBound:
             delta_bound(flagship, settings=Settings(delta0=math.nan))
         with pytest.raises(ValueError, match="coarse cell count must be even"):
             delta_bound(flagship, settings=Settings(k_coarse=999))
+        with pytest.raises(ValueError, match="initial radius must be at most 1, got 1.5"):
+            delta_bound(flagship, settings=Settings(delta0=1.5))
+        assert Settings(delta0=1.0).delta0 == 1.0
 
     def test_coarse_lambda_is_the_probe_at_delta_bar(self, flagship):
         bound = delta_bound(flagship)
@@ -160,35 +165,12 @@ class TestAnalyze:
         assert res.lambda_bar > 0.1
         assert lambda_bound(omega, res.delta_bar, 20000) < 0.0
 
-    def test_acyclic_fine_stage(self, flagship, monkeypatch):
-        monkeypatch.setattr(
-            expansivity, "lambda_bound", lambda omega, delta, k: 0.5 if k == 200 else None
-        )
-        res = analyze(flagship, settings=Settings(k_fine=64, k_coarse=200, bisection_steps=4))
-        assert res.status is Status.ACYCLIC
-        assert res.delta_bar is not None and res.lambda_bar is None
-
-    def test_acyclic_coarse_stage(self, flagship, monkeypatch):
-        # vacuous coarse certificates propagate as ACYCLIC even when the
-        # fine stage finds a finite exponent
-        monkeypatch.setattr(
-            expansivity, "lambda_bound", lambda omega, delta, k: None if k == 200 else 0.5
-        )
-        res = analyze(flagship, settings=Settings(k_fine=64, k_coarse=200, bisection_steps=4))
-        assert res.status is Status.ACYCLIC
-        # vacuous certificates drive the bisection all the way down
-        assert res.delta_bar is not None and 0.0 < res.delta_bar <= 0.001
-        assert res.lambda_bar is None
-
 
 class TestDeltaMonotonicity:
     def test_nested_partitions_monotone_in_delta(self, flagship):
         # enlarging the critical cell to the next breakpoint, keeping the
         # remaining cells identical, removes vertices and edges only, so
         # the exponent bound cannot decrease
-        from quadexp.digraph import build_representation, min_cycle_mean_lowmem
-        from quadexp.partition import PhasePartition, phase_partition
-
         part = phase_partition(flagship, 0.0005, 400)
         m = part.k // 2
         base = min_cycle_mean_lowmem(build_representation(flagship, part)).value
@@ -198,7 +180,30 @@ class TestDeltaMonotonicity:
             nested = PhasePartition(np.concatenate((bounds[: m + 1 - strip], bounds[m + 1 + strip:])))
             assert nested.k == part.k - 2 * strip and nested.delta == bounds[m + 1 + strip]
             wider = min_cycle_mean_lowmem(build_representation(flagship, nested)).value
-            assert wider is None or wider >= base - 2e-9
+            assert isinstance(wider, float) and wider >= base - 2e-9
+
+    @given(
+        a_lo=st.floats(1.4, 2.0),
+        width=st.floats(0.0, 0.01),
+        delta=st.floats(1e-4, 0.05),
+        half=st.integers(1, 60),
+        s=st.integers(2, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refinement_never_lowers_the_bound(self, a_lo, width, delta, half, s):
+        # splitting cells outside the critical one puts every new edge
+        # inside an old one, with a weight no smaller: lambda cannot drop
+        omega = ParamInterval(0, a_lo, min(a_lo + width, 2.0))
+        part = phase_partition(omega, delta, 2 * half)
+        b = part.bounds[half + 1:]  # delta .. sup
+        steps = np.arange(s) / s
+        pos = np.append((b[:-1, None] + (b[1:] - b[:-1])[:, None] * steps).ravel(), b[-1])
+        assume(np.all(pos[1:] > pos[:-1]))
+        fine = PhasePartition(np.concatenate((-pos[::-1], pos)))
+        assert fine.k == s * part.k and fine.delta == delta
+        coarse = min_cycle_mean_lowmem(build_representation(omega, part)).value
+        refined = min_cycle_mean_lowmem(build_representation(omega, fine)).value
+        assert refined >= coarse - 1e-12
 
 
 class TestBisectionBehavior:

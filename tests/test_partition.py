@@ -142,8 +142,13 @@ class TestPhasePartition:
             phase_partition(ParamInterval(0, 2.5, 2.6), 0.001, 10)
         with pytest.raises(ValueError):
             phase_partition(om, 5.0, 10)  # swallows the domain
+        with pytest.raises(ValueError, match="critical radius must be at most 1, got 1.5"):
+            phase_partition(om, 1.5, 10)
+        # sup is 4 ulps above 1, too close for 20 cells in [1, sup]
+        tiny = ParamInterval(0, 2.0**-50, 2.0**-50)
+        assert phase_domain(tiny) == 1.0 + 4 * 2.0**-52
         with pytest.raises(RigorError, match="collide"):
-            phase_partition(om, math.nextafter(phase_domain(om), 0.0), 4)
+            phase_partition(tiny, 1.0, 20)
 
     def test_no_cell_contains_zero_interior(self):
         om = ParamInterval(0, 1.9, 1.91)
