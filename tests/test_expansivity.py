@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from quadexp.expansivity import (
 from quadexp.family import ParamInterval
 from quadexp.partition import PhasePartition, phase_partition, subdivide_parameters
 from quadexp.rigor import representable
+from quadexp.sweep import DEFAULT_N, format_row
 
 
 def window_interval() -> ParamInterval:
@@ -164,6 +166,30 @@ class TestAnalyze:
         assert res.lambda_bar == lambda_bound(omega, res.delta_bar, 1000)
         assert res.lambda_bar > 0.1
         assert lambda_bound(omega, res.delta_bar, 20000) < 0.0
+
+
+class TestLockedOutputs:
+    # bit-exact locks on what the solver feeds into: any change to the
+    # partition, the graph or the cycle-mean solve that moves a certified
+    # value moves these bytes
+
+    def test_stratified_grid_rows(self):
+        # a fixed stratified sample of the default 60,000-row grid, each at
+        # its stratum's midpoint: 8 rows over [1.4, 1.9), 4 over
+        # [1.9, 1.99) and 4 over [1.99, 2]; the CSV rows without the
+        # elapsed field, hashed
+        grid = subdivide_parameters(representable("1.4"), 2.0, DEFAULT_N)
+        rows = (
+            [3125 + 6250 * j for j in range(8)]
+            + [51125 + 2250 * j for j in range(4)]
+            + [59125 + 250 * j for j in range(4)]
+        )
+        text = "".join(format_row(analyze(grid.interval(i))) + "\n" for i in rows)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "723e597259db1e31fcc6e0763c2e6c1482b0bced28f361383a4a85e6a7937bb5"
+
+    def test_flagship_at_k80000(self, flagship, flagship_delta):
+        assert lambda_bound(flagship, flagship_delta, 80000).hex() == "0x1.62134053036c0p-2"
 
 
 class TestDeltaMonotonicity:
