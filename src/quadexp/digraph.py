@@ -18,7 +18,11 @@ Three solvers are provided:
   walk lengths (working memory grows with the square of the vertex count);
 * ``min_cycle_mean_lowmem`` runs Howard policy iteration, evaluating each
   policy by pointer doubling in numpy, with memory linear in the edge
-  count.
+  count.  Each step does only the work its outcome needs: the doubling
+  stops at the depth of the policy's trees instead of after ceil(log2 n)
+  rounds, and only the vertices that switch edges search for their best
+  edge; the sequence of policies, hence every result, is the one the full
+  work would give.
 
 The two fast solvers return the same certificate: for vertex labels that
 never decrease along an edge and any potentials x, the least down-rounded
@@ -240,33 +244,64 @@ def _certify(src, dst, w, eta, x) -> float:
     return float(reduced.min(where=counted, initial=_INF))
 
 
-def _segment_argmin(values, starts):
-    """Minimum of each segment values[starts[i]:starts[i+1]] and the index
-    of its first occurrence."""
-    lows = np.minimum.reduceat(values, starts)
-    lengths = np.diff(np.append(starts, values.size))
-    at = np.where(values == np.repeat(lows, lengths), np.arange(values.size), values.size)
-    return lows, np.minimum.reduceat(at, starts)
+def _first_minima(values, lows, begin, count):
+    """Index of the first occurrence of lows[i] in each segment
+    values[begin[i]:begin[i] + count[i]], where lows[i] is that segment's
+    minimum and count[i] >= 1."""
+    at = _ranges(begin, begin + count)
+    hits = values[at] == np.repeat(lows, count)
+    at[~hits] = values.size
+    return np.minimum.reduceat(at, np.cumsum(count) - count)
 
 
 def _evaluate(succ, cost):
-    """Value of the policy v -> succ[v] paying cost[v], by pointer doubling
-    in ceil(log2 n) rounds: eta[v] is the mean of the cycle that v's orbit
-    reaches, and x[v] = cost[v] - eta[v] + x[succ[v]] holds for every v
-    except each cycle's root (its smallest vertex), where x = 0.  Returns
-    eta, x and the roots."""
+    """Value of the policy v -> succ[v] paying cost[v], by pointer doubling:
+    eta[v] is the mean of the cycle that v's orbit reaches, and
+    x[v] = cost[v] - eta[v] + x[succ[v]] holds for every v except each
+    cycle's root (its smallest vertex), where x = 0.  Returns eta, x and
+    the roots.
+
+    Both doubling loops stop once their result is final, not after a fixed
+    ceil(log2 n) rounds.  The first stops when the image of the jump
+    pointers no longer shrinks, so they all land on cycles, and the cycle
+    labels agree along every edge, so each label spans its whole cycle.
+    The second stops when every pointer has reached its root; the rounds
+    it skips would only add zeros.  So eta and x are bit for bit those of
+    the fixed count, and policy iteration passes through the same policies.
+    Policy trees are shallow: on the flagship at k = 1,000 to 80,000 the
+    loops stop after 5-7 and 4-6 rounds, where the fixed count is 10-17.
+    A path into a self-loop, the worst case, takes one round more than
+    ceil(log2 n) in the first loop.
+    """
     n = succ.size
-    rounds = max(1, (n - 1).bit_length())
     jump, low = succ, np.arange(n)
-    for _ in range(rounds):
-        low = np.minimum(low, low[jump])
-        jump = jump[jump]
-    # jump[v] lies on the cycle v's orbit reaches; low holds that cycle's
-    # smallest vertex there
-    cycle_of = low[jump]
-    roots = np.flatnonzero(cycle_of == np.arange(n))
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[jump] = True
+    size = np.count_nonzero(on_cycle)
+    while True:
+        # low[v] is the least of the 2N vertices v's orbit visits first,
+        # and jump = succ^2N, for N the power before this round
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+        on_cycle = np.zeros(n, dtype=bool)
+        on_cycle[jump] = True
+        # The image of succ^N is the set of vertices with a backward path
+        # of length N.  It shrinks as N grows, and once one step leaves it
+        # unchanged it stays fixed: it is then the set of cycle vertices.
+        # The images of succ^N, succ^N+1, ..., succ^2N are nested, so equal
+        # sizes at the two ends mean it has stopped, and jump[v] now lies on
+        # v's cycle.
+        previous, size = size, np.count_nonzero(on_cycle)
+        if size == previous:
+            # low[jump[v]] is the least of 2N consecutive vertices of v's
+            # cycle.  Should some cycle be longer than 2N, the vertex whose
+            # window starts at the cycle's smallest vertex gets that vertex
+            # and its successor does not, so agreement along every edge
+            # means each window spans its whole cycle.
+            cycle_of = low[jump]
+            if (cycle_of[succ] == cycle_of).all():
+                break
+    roots = np.flatnonzero(cycle_of == np.arange(n))
     members = cycle_of[on_cycle]
     mean = np.zeros(n)
     mean[roots] = (
@@ -278,9 +313,16 @@ def _evaluate(succ, cost):
     x[roots] = 0.0
     nxt = succ.copy()
     nxt[roots] = roots
-    for _ in range(rounds):
-        x = x + x[nxt]
+    # x[v] sums the initial x over the first N vertices of v's orbit, in
+    # which a root repeats once reached, and nxt[v] is the next one.  Once
+    # every nxt[v] is a root, further rounds only add a root's x = +0.0,
+    # which turns -0.0 into +0.0 and changes nothing else: the closing
+    # addition does exactly that.  Every vertex reaches its root in fewer
+    # than n steps, so this takes at most ceil(log2 n) rounds.
+    while not (nxt == cycle_of).all():
+        x += x[nxt]
         nxt = nxt[nxt]
+    x += 0.0
     return eta, x, roots
 
 
@@ -432,6 +474,13 @@ def min_cycle_mean_lowmem(graph: WeightedDigraph) -> CycleMeanResult:
     At the fixed point the labels are monotone along every edge, and the
     returned value is the certificate of those labels and potentials.  The
     witness is the policy cycle with the smallest eta.
+
+    An improvement step compares eta across every edge, then takes one
+    ``minimum.reduceat``: of eta[dst] if some edge leads to a smaller eta,
+    else of the reduced costs.  Only the vertices that switch then look for
+    the first edge attaining their minimum (on the flagship at k = 80,000,
+    4 to 8,862 of 79,998 vertices per step).  The edge-sized temporaries
+    live in two float buffers and one mask reused by every step.
     """
     alive = _prune(graph)
     if not alive.any():
@@ -441,24 +490,42 @@ def min_cycle_mean_lowmem(graph: WeightedDigraph) -> CycleMeanResult:
     src, dst, w = index[graph.src[keep]], index[graph.dst[keep]], graph.weight[keep]
     # every remaining vertex has an out-edge, so the segments are 0..m-1
     starts = np.flatnonzero(np.diff(src, prepend=-1))
+    lengths = np.diff(starts, append=src.size)
 
-    policy = _segment_argmin(w, starts)[1]
+    policy = _first_minima(w, np.minimum.reduceat(w, starts), starts, lengths)
+    # E-sized work space, reused by every iteration (the indices are in
+    # range, so mode="clip" only spares np.take a buffered copy)
+    vals, tmp = np.empty(src.size), np.empty(src.size)
+    mask = np.empty(src.size, dtype=bool)
     while True:
         eta, x, roots = _evaluate(dst[policy], w[policy])
-        eta_dst = eta[dst]
-        lows, choice = _segment_argmin(eta_dst, starts)
-        switch = lows < eta
-        if not switch.any():
-            reduced = np.where(eta_dst == eta[src], w - eta[src] + x[dst], _INF)
-            lows, choice = _segment_argmin(reduced, starts)
+        np.take(eta, dst, out=vals, mode="clip")
+        np.take(eta, src, out=tmp, mode="clip")
+        np.less(vals, tmp, out=mask)
+        if mask.any():
+            # some vertex has an edge to a strictly smaller eta
+            lows = np.minimum.reduceat(vals, starts)
+            switch = lows < eta
+        else:
+            # vals = w - eta[src] + x[dst] on the edges keeping eta, else inf
+            np.not_equal(vals, tmp, out=mask)
+            np.subtract(w, tmp, out=tmp)
+            np.take(x, dst, out=vals, mode="clip")
+            np.add(tmp, vals, out=vals)
+            np.copyto(vals, _INF, where=mask)
+            lows = np.minimum.reduceat(vals, starts)
             # gains within the rounding noise of the potentials would let
             # equivalent edges swap forever; the certificate, not this
             # threshold, carries the guarantee
             switch = lows < x - 2.0**-44 * (1.0 + float(np.abs(x).max()))
             if not switch.any():
                 break
-        policy = np.where(switch, choice, policy)
+        # only the switching vertices need the first minimum's position
+        movers = np.flatnonzero(switch)
+        policy[movers] = _first_minima(vals, lows[movers], starts[movers], lengths[movers])
 
+    # the certificate's temporaries set the solve's peak memory
+    del vals, tmp, mask
     value = _certify(src, dst, w, eta, x)
     succ = dst[policy].tolist()
     root = int(roots[np.argmin(eta[roots])])

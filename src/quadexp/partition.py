@@ -128,8 +128,12 @@ def _breakpoints(delta: float, sup: float, k: int, smear: float) -> np.ndarray:
         m_top = 0
         knee = sup
 
-    # b_0 = delta and, with an outer band, its first point is the knee
+    # b_0 = delta and, with an outer band, its first point is the knee.  The
+    # inner band is geometric in knee / delta, which a radius below about
+    # 1e-308 overflows to inf, sending every inner breakpoint past b_0 to sup
     m_geo = m - m_top
+    if m_geo > 1 and knee / delta == math.inf:
+        raise RigorError(f"critical radius {delta!r} too small: knee/radius overflows at {knee!r}")
     bands = [delta * _pow_each(knee / delta, np.arange(m_geo) / m_geo)]
     if m_top:
         bands.append(sup - u_max * _pow_each(u_min / u_max, np.arange(m_top) / (m_top - 1)))

@@ -13,6 +13,7 @@ from quadexp.digraph import (
     CycleMeanResult,
     WeightedDigraph,
     _certify,
+    _evaluate,
     brute_force_cycle_mean,
     build_representation,
     dump_graph,
@@ -109,7 +110,7 @@ class TestBuildRepresentation:
         try:
             part = phase_partition(om, delta, k)
         except RigorError:
-            reject()  # breakpoints collide: k too large for [delta, sup]
+            reject()  # k too large for [delta, sup], or delta too small
         g = build_representation(om, part)
         weight = {(u, v): w for u, v, w in g.edges()}
         # the positive cells holding |p| = (1 + sqrt(1 + 4 a_hi))/2, located
@@ -417,6 +418,69 @@ class TestHoward:
         assert Fraction(r.value) <= want
         assert float(want - Fraction(r.value)) <= 1e-12
         assert exact_cycle_mean(graph, r.witness_cycle) >= Fraction(r.value)
+
+
+def evaluate_all_rounds(succ, cost):
+    """Policy evaluation by pointer doubling in a fixed ceil(log2 n) rounds
+    per loop: the oracle for the early-stopping rounds of _evaluate."""
+    n = succ.size
+    rounds = max(1, (n - 1).bit_length())
+    jump, low = succ, np.arange(n)
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    cycle_of = low[jump]
+    roots = np.flatnonzero(cycle_of == np.arange(n))
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jump] = True
+    members = cycle_of[on_cycle]
+    mean = np.zeros(n)
+    mean[roots] = (
+        np.bincount(members, weights=cost[on_cycle], minlength=n)[roots]
+        / np.bincount(members, minlength=n)[roots]
+    )
+    eta = mean[cycle_of]
+    x = cost - eta
+    x[roots] = 0.0
+    nxt = succ.copy()
+    nxt[roots] = roots
+    for _ in range(rounds):
+        x = x + x[nxt]
+        nxt = nxt[nxt]
+    return eta, x, roots
+
+
+def policy(succ, cost):
+    return np.array(succ, dtype=np.int64), np.array(cost, dtype=np.float64)
+
+
+@st.composite
+def functional_graphs(draw):
+    n = draw(st.integers(1, 70))
+    succ = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    cost = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-8.0, 8.0))
+    return policy(succ, draw(st.lists(cost, min_size=n, max_size=n)))
+
+
+class TestPolicyEvaluation:
+    @given(graph=functional_graphs())
+    # one n-cycle: every round of the first loop is needed
+    @example(graph=policy([(v + 1) % 33 for v in range(33)], [0.5] * 33))
+    # a path of n - 1 vertices into a self-loop: every round of the second
+    # loop, and one more than the fixed count in the first; with costs -0.0
+    # the path's head reaches the root after exactly 2^2 steps
+    @example(graph=policy([1, 2, 3, 4, 4], [-0.0, -0.0, -0.0, -0.0, 0.0]))
+    @example(graph=policy([min(v + 1, 63) for v in range(64)], [float(v % 7) - 3.0 for v in range(64)]))
+    # a long tail into a long cycle
+    @example(graph=policy([v + 1 for v in range(59)] + [25], [0.125 * v - 2.0 for v in range(60)]))
+    @settings(max_examples=400, deadline=None)
+    def test_early_stop_matches_all_rounds(self, graph):
+        succ, cost = graph
+        eta, x, roots = _evaluate(succ, cost)
+        want_eta, want_x, want_roots = evaluate_all_rounds(succ, cost)
+        assert eta.tobytes() == want_eta.tobytes()
+        assert x.tobytes() == want_x.tobytes()
+        assert np.array_equal(roots, want_roots)
 
 
 class TestWitnesses:

@@ -169,9 +169,9 @@ class TestAnalyze:
 
 
 class TestLockedOutputs:
-    # bit-exact locks on what the solver feeds into: any change to the
-    # partition, the graph or the cycle-mean solve that moves a certified
-    # value moves these bytes
+    # bit-exact locks on certified outputs: any change to the partition,
+    # the graph or the cycle-mean solve that moves a certified value moves
+    # these bytes
 
     def test_stratified_grid_rows(self):
         # a fixed stratified sample of the default 60,000-row grid, each at

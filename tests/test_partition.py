@@ -150,6 +150,17 @@ class TestPhasePartition:
         with pytest.raises(RigorError, match="collide"):
             phase_partition(tiny, 1.0, 20)
 
+    def test_subnormal_radius_is_named(self):
+        # knee / delta overflows below about 1e-308: the error names the
+        # radius, not the cell count, and 1e-300 still builds
+        om = ParamInterval(0, 1.8, 1.81)
+        with pytest.raises(RigorError, match=r"critical radius 1e-310 too small") as info:
+            phase_partition(om, 1e-310, 4)
+        assert "k=" not in str(info.value)
+        part = phase_partition(om, 1e-300, 4)
+        assert part.delta == 1e-300
+        assert np.all(np.diff(part.bounds) > 0.0)
+
     def test_no_cell_contains_zero_interior(self):
         om = ParamInterval(0, 1.9, 1.91)
         part = phase_partition(om, 1e-6, 2000)
