@@ -56,10 +56,10 @@ def _interval_from_flags(parser: argparse.ArgumentParser, args) -> ParamInterval
     if by_endpoints == by_index:
         parser.error("give exactly one of --a-lo/--a-hi or --index")
     if by_index:
-        grid = subdivide_parameters(args.a_min, args.a_max, args.n)
+        # a usage error whatever --n is, so checked before the grid is built
         if not 0 <= args.index < args.n:
             parser.error(f"--index {args.index} outside [0, {args.n})")
-        return grid.interval(args.index)
+        return subdivide_parameters(args.a_min, args.a_max, args.n).interval(args.index)
     if args.a_lo is None or args.a_hi is None:
         parser.error("--a-lo and --a-hi must be given together")
     if args.a_lo > args.a_hi:

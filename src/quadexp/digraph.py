@@ -22,7 +22,8 @@ Three solvers are provided:
   stops at the depth of the policy's trees instead of after ceil(log2 n)
   rounds, and only the vertices that switch edges search for their best
   edge; the sequence of policies, hence every result, is the one the full
-  work would give.
+  work would give.  On request it stops at the first policy cycle whose
+  exact mean is nonpositive, when only the sign of the answer is wanted.
 
 The two fast solvers return the same certificate: for vertex labels that
 never decrease along an edge and any potentials x, the least down-rounded
@@ -138,9 +139,12 @@ class WeightedDigraph:
 class CycleMeanResult:
     """Minimum-cycle-mean answer: ``value`` is None exactly when the graph
     is acyclic, otherwise a certified lower bound on every cycle's mean
-    weight, attained by some cycle up to the solver's stated slack.
-    ``witness_cycle`` lists the vertices of such a cycle (first vertex not
-    repeated) when one was extracted."""
+    weight.  A full solve's value is attained by some cycle up to the
+    solver's stated slack, and ``witness_cycle`` lists the vertices of such
+    a cycle (first vertex not repeated) when one was extracted.  A solve
+    stopped once its value is known to be nonpositive returns a bound that
+    need not be attained, with a witness whose exact mean is at least that
+    value and at most 0."""
 
     value: float | None
     witness_cycle: list[int] | None = None
@@ -252,6 +256,15 @@ def _first_minima(values, lows, begin, count):
     hits = values[at] == np.repeat(lows, count)
     at[~hits] = values.size
     return np.minimum.reduceat(at, np.cumsum(count) - count)
+
+
+def _policy_cycle(succ, root: int) -> list[int]:
+    """Vertices of the policy cycle through root, from root in edge
+    order."""
+    cycle = [root]
+    while (v := int(succ[cycle[-1]])) != root:
+        cycle.append(v)
+    return cycle
 
 
 def _evaluate(succ, cost):
@@ -462,7 +475,9 @@ def _karp_witness(src, w, targets, seg_starts, table, v_star: int) -> list[int] 
     return None
 
 
-def min_cycle_mean_lowmem(graph: WeightedDigraph) -> CycleMeanResult:
+def min_cycle_mean_lowmem(
+    graph: WeightedDigraph, *, stop_at_nonpositive: bool = False
+) -> CycleMeanResult:
     """Minimum cycle mean by Howard policy iteration, with working memory
     linear in the edge count.
 
@@ -481,6 +496,17 @@ def min_cycle_mean_lowmem(graph: WeightedDigraph) -> CycleMeanResult:
     the first edge attaining their minimum (on the flagship at k = 80,000,
     4 to 8,862 of 79,998 vertices per step).  The edge-sized temporaries
     live in two float buffers and one mask reused by every step.
+
+    With ``stop_at_nonpositive`` the solve ends as soon as the sign of the
+    answer is settled nonpositive: after an evaluation whose smallest
+    policy-cycle eta is <= 0, the weights of that cycle are summed by
+    ``math.fsum``, whose correct rounding keeps the exact sum's sign.  If
+    the sum is <= 0, the witness is that cycle and the value is the
+    lightest edge weight left after pruning: a lower bound on every cycle
+    mean, not attained in general, and at most the witness's mean, so <= 0.
+    The full solve's value is at most that mean too, so both values are
+    <= 0 together; when the solve does not stop, its result is the full
+    solve's bit for bit, since the check only reads.
     """
     alive = _prune(graph)
     if not alive.any():
@@ -499,6 +525,14 @@ def min_cycle_mean_lowmem(graph: WeightedDigraph) -> CycleMeanResult:
     mask = np.empty(src.size, dtype=bool)
     while True:
         eta, x, roots = _evaluate(dst[policy], w[policy])
+        if stop_at_nonpositive:
+            root = int(roots[np.argmin(eta[roots])])
+            if eta[root] <= 0.0:
+                cycle = _policy_cycle(dst[policy], root)
+                # fsum is correctly rounded, so it has the exact sum's sign
+                if math.fsum(w[policy[cycle]].tolist()) <= 0.0:
+                    witness = np.flatnonzero(alive)[cycle].tolist()
+                    return CycleMeanResult(float(w.min()), witness)
         np.take(eta, dst, out=vals, mode="clip")
         np.take(eta, src, out=tmp, mode="clip")
         np.less(vals, tmp, out=mask)
@@ -527,11 +561,7 @@ def min_cycle_mean_lowmem(graph: WeightedDigraph) -> CycleMeanResult:
     # the certificate's temporaries set the solve's peak memory
     del vals, tmp, mask
     value = _certify(src, dst, w, eta, x)
-    succ = dst[policy].tolist()
-    root = int(roots[np.argmin(eta[roots])])
-    cycle = [root]
-    while succ[cycle[-1]] != root:
-        cycle.append(succ[cycle[-1]])
+    cycle = _policy_cycle(dst[policy].tolist(), int(roots[np.argmin(eta[roots])]))
     return CycleMeanResult(value, np.flatnonzero(alive)[cycle].tolist())
 
 

@@ -115,18 +115,23 @@ class DeltaBound:
     coarse_lambda: float
 
 
-def lambda_bound(omega: ParamInterval, delta: float, k: int) -> float:
+def lambda_bound(
+    omega: ParamInterval, delta: float, k: int, *, stop_at_nonpositive: bool = False
+) -> float:
     """Certified lower bound for the expansion exponent of every map in
     omega outside (-delta, delta), from the minimum cycle mean of the
     representation graph on k cells; delta must lie in (0, 1].
 
     The graph always has a cycle (the self-loop at the repelling fixed
     point's cell), so the bound is a number, at most log(2 sup).  A value
-    <= 0 certifies nothing at this resolution.
+    <= 0 certifies nothing at this resolution.  With
+    ``stop_at_nonpositive`` the solve stops once the value is known to be
+    <= 0 and returns a cheaper nonpositive bound, below the full solve's
+    value in general; a positive value is the full solve's, bit for bit.
     """
     partition = phase_partition(omega, delta, k)
     graph = build_representation(omega, partition)
-    return min_cycle_mean_lowmem(graph).value
+    return min_cycle_mean_lowmem(graph, stop_at_nonpositive=stop_at_nonpositive).value
 
 
 def _mid_up(lo: float, hi: float) -> float:
@@ -141,9 +146,12 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
 
     Bisects on [0, delta0], keeping as the upper end the smallest radius
     whose coarse bound came out positive; after the fixed number of steps
-    the upper end is returned with its probe's value.
+    the upper end is returned with its probe's value.  Only a probe's sign
+    is read unless it is positive, so every probe stops at its first
+    nonpositive policy cycle: a failing probe skips the rest of the policy
+    iteration and the certificate, and a passing one is the full solve.
     """
-    coarse = lambda_bound(omega, settings.delta0, settings.k_coarse)
+    coarse = lambda_bound(omega, settings.delta0, settings.k_coarse, stop_at_nonpositive=True)
     if coarse <= 0.0:
         return None
     lo, hi = 0.0, settings.delta0
@@ -151,7 +159,7 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
         mid = _mid_up(lo, hi)
         if not lo < mid < hi:
             break
-        value = lambda_bound(omega, mid, settings.k_coarse)
+        value = lambda_bound(omega, mid, settings.k_coarse, stop_at_nonpositive=True)
         if value > 0.0:
             hi, coarse = mid, value
         else:

@@ -74,6 +74,14 @@ class TestAnalyzeCommand:
             main(["analyze", "--a-lo", "1.5", "--a-hi", "1.6", "--index", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("index, n", [("3", "2"), ("0", "-5"), ("0", "0"), ("-1", "4")])
+    def test_index_outside_grid_usage_error(self, capsys, index, n):
+        # an empty grid is no different from an index past its end
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--index", index, "--n", n])
+        assert exc.value.code == 2
+        assert f"--index {index} outside [0, {n})" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--bogus", "1"])

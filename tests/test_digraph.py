@@ -9,6 +9,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+import quadexp.digraph as digraph
 from quadexp.digraph import (
     CycleMeanResult,
     WeightedDigraph,
@@ -23,7 +24,7 @@ from quadexp.digraph import (
 )
 from quadexp.expansivity import lambda_bound
 from quadexp.family import ParamInterval, phase_domain
-from quadexp.partition import breakpoint_dump, phase_partition
+from quadexp.partition import breakpoint_dump, phase_partition, subdivide_parameters
 from quadexp.rigor import RigorError, representable
 
 from conftest import cells_of, random_int_graph
@@ -481,6 +482,86 @@ class TestPolicyEvaluation:
         assert eta.tobytes() == want_eta.tobytes()
         assert x.tobytes() == want_x.tobytes()
         assert np.array_equal(roots, want_roots)
+
+
+def check_stopped_solve(graph):
+    """min_cycle_mean_lowmem with the stop flag against the full solve: the
+    same sign, the same result when the full value is positive, and when it
+    stops, a witness cycle of exact mean <= 0 bounding the value from
+    above."""
+    full = min_cycle_mean_lowmem(graph)
+    got = min_cycle_mean_lowmem(graph, stop_at_nonpositive=True)
+    if full.value is None:
+        assert got == full
+        return got
+    assert (got.value <= 0.0) == (full.value <= 0.0)
+    if full.value > 0.0:
+        assert got.value.hex() == full.value.hex()
+        assert got.witness_cycle == full.witness_cycle
+    elif got != full:
+        mean = exact_cycle_mean(graph, got.witness_cycle)
+        assert mean <= 0
+        assert Fraction(got.value) <= mean
+    return got
+
+
+class TestStopAtNonpositive:
+    def test_stops_at_the_first_nonpositive_policy_cycle(self):
+        # the lightest-edge policy is already the cycle 0 -> 1 -> 0 of
+        # mean -1.5; the value is the lightest edge, not the minimum
+        g = WeightedDigraph.from_edges(3, [(0, 1, -1.0), (1, 0, -2.0), (1, 2, 3.0), (2, 2, 5.0)])
+        assert min_cycle_mean_lowmem(g) == CycleMeanResult(-1.5, [0, 1])
+        assert min_cycle_mean_lowmem(g, stop_at_nonpositive=True) == CycleMeanResult(-2.0, [0, 1])
+
+    def test_positive_cycle_with_a_nonpositive_label_goes_on(self):
+        # summed in vertex order the cycle's weights give eta = 0.0, while
+        # their exact sum is 2^-60 > 0: no stop, and the full solve's result
+        g = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0**-60), (2, 0, -1.0)])
+        eta, _, _ = _evaluate(np.array([1, 2, 0]), np.array([1.0, 2.0**-60, -1.0]))
+        assert np.all(eta == 0.0)
+        full = min_cycle_mean_lowmem(g)
+        assert min_cycle_mean_lowmem(g, stop_at_nonpositive=True) == full
+
+    @given(graph=float_graphs())
+    @settings(max_examples=400, deadline=None)
+    def test_random_graphs(self, graph):
+        check_stopped_solve(graph)
+
+    @given(
+        a_lo=st.floats(1.0, 2.0),
+        width=st.floats(0.0, 0.01),
+        log2_delta=st.floats(-13.0, 0.0),
+        half=st.integers(1, 200),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_representation_graphs(self, a_lo, width, log2_delta, half):
+        # radii spread on a log scale from 1e-4 to 1 give both signs: about
+        # a third of the bounds come out positive
+        omega, delta = ParamInterval(0, a_lo, min(a_lo + width, 2.0)), 2.0**log2_delta
+        try:
+            part = phase_partition(omega, delta, 2 * half)
+        except RigorError:
+            reject()  # k too large for [delta, sup]
+        check_stopped_solve(build_representation(omega, part))
+
+    def test_grid_row_12800_needs_one_evaluation(self, monkeypatch):
+        # a one-probe reject of the default grid: the stopped solve reads
+        # the lightest-edge policy only
+        omega = subdivide_parameters(representable("1.4"), 2.0, 60000).interval(12800)
+        graph = build_representation(omega, phase_partition(omega, 0.001, 1000))
+        calls = []
+
+        def counting(succ, cost):
+            calls.append(succ.size)
+            return evaluate(succ, cost)
+
+        evaluate = digraph._evaluate
+        monkeypatch.setattr(digraph, "_evaluate", counting)
+        assert min_cycle_mean_lowmem(graph, stop_at_nonpositive=True).value <= 0.0
+        assert len(calls) == 1
+        calls.clear()
+        assert min_cycle_mean_lowmem(graph).value <= 0.0
+        assert len(calls) == 7
 
 
 class TestWitnesses:

@@ -37,6 +37,12 @@ class TestLambdaBound:
         v = lambda_bound(window_interval(), 0.001, 1000)
         assert v is not None and v <= 0.0
 
+    def test_flagship_negative_at_k100(self, flagship):
+        # the full solve's nonpositive value, bit for bit; the stopped solve
+        # only keeps its sign
+        assert lambda_bound(flagship, 0.001, 100).hex() == "-0x1.3d9e141d9c2bap-1"
+        assert lambda_bound(flagship, 0.001, 100, stop_at_nonpositive=True) <= 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_bound(ParamInterval(0, 0.0, 1.0), 0.001, 100)
@@ -94,7 +100,7 @@ class TestDeltaBound:
 
     def test_checks_its_own_settings(self, flagship, monkeypatch):
         # a bad setting fails where the Settings are made, before any solve
-        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
+        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="bisection steps must be >= 0, got -1"):
             delta_bound(flagship, settings=Settings(bisection_steps=-1))
         with pytest.raises(ValueError, match="initial radius must be positive and finite"):
@@ -132,14 +138,14 @@ class TestAnalyze:
             analyze(ParamInterval(0, 2.5, 2.6))
 
     def test_bad_settings_fail_before_any_solve(self, flagship, monkeypatch):
-        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
+        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="even"):
             analyze(flagship, settings=Settings(k_fine=2001))
 
     def test_settings_are_keyword_only(self, flagship, monkeypatch):
         # settings are passed by name, so no caller can give them in
         # another order
-        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args: pytest.fail("solved"))
+        monkeypatch.setattr(expansivity, "lambda_bound", lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(TypeError):
             Settings(1000, 20000, 0.001, 20)
         with pytest.raises(TypeError):
@@ -150,7 +156,9 @@ class TestAnalyze:
     def test_fine_partition_artifact(self, flagship, monkeypatch):
         # a nonpositive fine bound leaves the coarse certificate standing
         monkeypatch.setattr(
-            expansivity, "lambda_bound", lambda omega, delta, k: 0.5 if k == 200 else -0.125
+            expansivity,
+            "lambda_bound",
+            lambda omega, delta, k, *, stop_at_nonpositive=False: 0.5 if k == 200 else -0.125,
         )
         res = analyze(flagship, settings=Settings(k_fine=64, k_coarse=200, bisection_steps=4))
         assert res.status is Status.SUCCESS
@@ -238,7 +246,7 @@ class TestBisectionBehavior:
         threshold = 0.0004
         calls = []
 
-        def fake(omega, delta, k):
+        def fake(omega, delta, k, *, stop_at_nonpositive=False):
             calls.append(delta)
             return 1.0 if delta >= threshold else -1.0
 
@@ -249,3 +257,18 @@ class TestBisectionBehavior:
         assert bound.delta_bar - threshold < 0.001 * 2.0**-19
         # the returned radius was itself tested positive
         assert bound.delta_bar in calls
+
+    def test_only_bisection_probes_stop_early(self, flagship, monkeypatch):
+        # delta_bound reads only the sign of a failing probe, so every probe
+        # may stop at a nonpositive cycle; the fine stage's value is
+        # reported, so its solve runs in full
+        calls = []
+
+        def fake(omega, delta, k, *, stop_at_nonpositive=False):
+            calls.append((k, stop_at_nonpositive))
+            return 1.0 if delta >= 0.0004 else -1.0
+
+        monkeypatch.setattr(expansivity, "lambda_bound", fake)
+        res = analyze(flagship, settings=Settings(k_coarse=200, k_fine=64, bisection_steps=20))
+        assert res.status is Status.SUCCESS
+        assert calls == [(200, True)] * 21 + [(64, False)]
