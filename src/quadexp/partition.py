@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -39,18 +40,39 @@ from .rigor import RigorError
 __all__ = ["ParamGrid", "PhasePartition", "subdivide_parameters", "phase_partition"]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class ParamGrid:
-    """Ordered subdivision points theta_0 .. theta_N of [a_min, a_max], a
-    read-only float64 array."""
+    """Ordered subdivision points theta_0 .. theta_N of [a_min, a_max].
+    The formula is evaluated only at the indices asked for: ``window`` and
+    ``interval`` compute a few points, and ``points``, the read-only
+    float64 array of all N + 1, is built on first use and kept."""
 
+    a_min: float
+    a_max: float
     n: int
-    points: np.ndarray
+
+    def window(self, first: int, last: int) -> np.ndarray:
+        """theta_first .. theta_last, the points bounding intervals first
+        .. last - 1, as a read-only float64 array."""
+        if not 0 <= first <= last <= self.n:
+            raise IndexError(f"grid window [{first}, {last}] out of range [0, {self.n}]")
+        # int64 quotients below 2**53 convert to float64 exactly, so each
+        # element takes the formula's three rounded steps
+        i = np.arange(first, last + 1, dtype=np.int64)
+        g = np.gcd(i, self.n)
+        points = self.a_min + ((i // g) * (self.a_max - self.a_min)) / (self.n // g)
+        points.flags.writeable = False
+        return points
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return self.window(0, self.n)
 
     def interval(self, i: int) -> ParamInterval:
         if not 0 <= i < self.n:
             raise IndexError(f"grid interval index {i} out of range [0, {self.n})")
-        return ParamInterval(i, float(self.points[i]), float(self.points[i + 1]))
+        a_lo, a_hi = self.window(i, i + 1).tolist()
+        return ParamInterval(i, a_lo, a_hi)
 
 
 def subdivide_parameters(a_min: float, a_max: float, n: int) -> ParamGrid:
@@ -58,13 +80,7 @@ def subdivide_parameters(a_min: float, a_max: float, n: int) -> ParamGrid:
         raise ValueError(f"need at least one interval, got n={n}")
     if not a_min < a_max:
         raise ValueError(f"empty parameter range [{a_min!r}, {a_max!r}]")
-    # int64 quotients below 2**53 convert to float64 exactly, so each
-    # element takes the formula's three rounded steps
-    i = np.arange(n + 1, dtype=np.int64)
-    g = np.gcd(i, n)
-    points = a_min + ((i // g) * (a_max - a_min)) / (n // g)
-    points.flags.writeable = False
-    return ParamGrid(n, points)
+    return ParamGrid(a_min, a_max, n)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

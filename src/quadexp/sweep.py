@@ -2,14 +2,26 @@
 ordered checkpointed CSV output, resume by appending, and plot-data
 emission.
 
-One process-pool loop serves every worker count (even one worker
-analyzes in a child process), keeping four tasks per worker in flight,
-with no more workers than rows left; a reorder buffer holds out-of-order
-results, and rows are written in index order, each flushed as it is
-written (so a killed sweep keeps every finished row) and fsynced every
-``FSYNC_EVERY`` rows.  Workers are always forked, whatever the
-platform's default start method, so they see the sweep's module state (a
-patched ``analyze`` included) and can exit when the sweep's process dies.
+The sweep's process starts ``min(workers, rows left)`` forked worker
+processes (even one worker analyzes in a child) and runs no thread of its
+own.  The work queue is one shared counter: each worker claims its next
+row index by bumping the counter under its lock, so the queue stays
+dynamic at row granularity and the parent dispatches nothing.  A worker
+sends each ``(index, row)`` over its own one-way pipe; the parent waits on
+the pipes' receiving ends, keeps out-of-order rows in a reorder buffer and
+writes rows in index order, each flushed as it is written (so a killed
+sweep keeps every finished row) and fsynced every ``FSYNC_EVERY`` rows.
+Failures: an exception that escapes a worker's analysis (one that is not
+an ``Exception``, which only marks its row ``ERROR``) pushes the counter
+past the range, so no worker claims another row, and is re-raised in the
+sweep's process; a worker that dies holding a row has the counter pushed
+the same way, the others finish their rows, and the sweep raises an error
+naming the first missing index.  On any exception the sweep's process
+pushes the counter, terminates its workers and joins them before the
+exception propagates, so no worker outlives ``run_sweep``.  Workers are
+always forked, whatever the platform's default start method, so they see
+the sweep's module state (a patched ``analyze`` included) and the grid
+points, and each exits on its own when the sweep's process dies.
 Beside the results file, ``<output>.config`` records the grid and the
 analysis ``Settings``, which decide the rows' bytes; a restart with the
 same ones truncates the file just past its contiguous prefix of complete
@@ -26,13 +38,12 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from itertools import islice
+from multiprocessing.connection import wait
 
 from .expansivity import AnalysisResult, Settings, Status, analyze
 from .family import ParamInterval
-from .partition import ParamGrid, subdivide_parameters
+from .partition import subdivide_parameters
 from .rigor import representable
 
 __all__ = [
@@ -122,8 +133,8 @@ def parse_row(line: str, lineno: int = 0) -> AnalysisResult:
 
 
 def _exit_with_parent(parent: int) -> None:
-    """Pool initializer of a forked worker: exit once its parent, the
-    sweep's process, is gone (a killed sweep cannot shut its pool down)."""
+    """Start a thread that ends this forked worker once its parent, the
+    sweep's process, is gone (a killed sweep cannot stop its workers)."""
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -145,6 +156,31 @@ def _analyze_task(omega: ParamInterval, config: SweepConfig) -> tuple[int, str]:
     return omega.index, format_row(res)
 
 
+def _stop_claims(counter, last: int) -> None:
+    with counter.get_lock():
+        counter.value = max(counter.value, last)
+
+
+def _claim_rows(config: SweepConfig, window: list[float], counter, conn, parent: int) -> None:
+    """Body of a forked worker: claim the next row index from the shared
+    counter, analyze it and send ``(index, row)`` to the parent, until the
+    counter reaches ``config.last``.  An exception that escapes the
+    analysis stops every worker's claims and is sent to the parent."""
+    _exit_with_parent(parent)
+    try:
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                counter.value = index + 1
+            if index >= config.last:
+                return
+            at = index - config.first
+            conn.send(_analyze_task(ParamInterval(index, window[at], window[at + 1]), config))
+    except BaseException as exc:
+        _stop_claims(counter, config.last)
+        conn.send(exc)
+
+
 def _config_text(config: SweepConfig) -> str:
     """The configuration that decides the rows' bytes (the grid and the
     analysis settings, not the worker count, index range or output path),
@@ -154,12 +190,13 @@ def _config_text(config: SweepConfig) -> str:
     return "".join(f"{name} {value!r}\n" for name, value in fields.items())
 
 
-def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> tuple[int, int]:
+def _completed_prefix(path: str, config: SweepConfig, window: list[float]) -> tuple[int, int]:
     """Rows to keep from an interrupted results file: how many complete
     rows open it as a valid contiguous prefix of [first, last), and the
     byte offset just past the last of them; (0, 0) keeps nothing.  Nothing
     is kept when the settings file beside it is missing or records other
-    settings, or when a row's resolutions or endpoints are not this grid's."""
+    settings, or when a row's resolutions or endpoints are not this grid's
+    (``window`` holds the grid points first .. last)."""
     try:
         with open(path + ".config", "r", encoding="ascii", errors="replace") as fh:
             if fh.read() != _config_text(config):
@@ -183,9 +220,9 @@ def _completed_prefix(path: str, config: SweepConfig, grid: ParamGrid) -> tuple[
             break
         if res.index != index:
             break
-        omega = grid.interval(index)
+        at = index - config.first
         if (res.k_coarse, res.k_fine, res.a_lo, res.a_hi) != (
-            config.settings.k_coarse, config.settings.k_fine, omega.a_lo, omega.a_hi
+            config.settings.k_coarse, config.settings.k_fine, window[at], window[at + 1]
         ):
             return 0, 0  # file from a different configuration: start over
         kept += 1
@@ -200,9 +237,9 @@ def run_sweep(config: SweepConfig) -> str:
     file is byte-identical for any worker count.  Returns the output path."""
     config.validate()
     grid = subdivide_parameters(config.a_min, config.a_max, config.n)
-    kept, offset = _completed_prefix(config.output_path, config, grid)
+    window = grid.window(config.first, config.last).tolist()
+    kept, offset = _completed_prefix(config.output_path, config, window)
     start = config.first + kept
-    todo = iter(range(start, config.last))
     next_index = start
 
     with open(config.output_path, "a", encoding="ascii", newline="\n") as out:
@@ -214,36 +251,59 @@ def run_sweep(config: SweepConfig) -> str:
             fh.write(_config_text(config))
         if offset == 0:
             out.write(CSV_HEADER + "\n")
+        out.flush()  # the workers fork with a copy of this buffer
 
-        # a forking pool starts all its workers at the first submit, so it
-        # gets no more than there are rows left (and none when no row is)
-        workers = min(config.workers, config.last - start)
-        buffered: dict[int, str] = {}
-        running: set = set()
         fork = multiprocessing.get_context("fork")
-        if workers:
-            with ProcessPoolExecutor(
-                workers, fork, initializer=_exit_with_parent, initargs=(os.getpid(),)
-            ) as pool:
-                while True:
-                    running |= {
-                        pool.submit(_analyze_task, grid.interval(i), config)
-                        for i in islice(todo, 4 * workers - len(running))
-                    }
-                    if not running:
-                        break
-                    done, running = wait(running, return_when=FIRST_COMPLETED)
-                    buffered.update(fut.result() for fut in done)
-                    while next_index in buffered:
-                        out.write(buffered.pop(next_index) + "\n")
-                        out.flush()
-                        next_index += 1
-                        if (next_index - start) % FSYNC_EVERY == 0:
-                            os.fsync(out.fileno())
+        counter = fork.Value("q", start)
+        readers: dict = {}  # each worker's receiving end: its process
+        buffered: dict[int, str] = {}
+        try:
+            for _ in range(min(config.workers, config.last - start)):
+                reader, writer = fork.Pipe(duplex=False)
+                proc = fork.Process(
+                    target=_claim_rows,
+                    args=(config, window, counter, writer, os.getpid()),
+                    daemon=True,
+                )
+                proc.start()
+                readers[reader] = proc
+                # the worker holds the only sending end: its exit is an EOF
+                writer.close()
+            while readers:
+                for reader in wait(list(readers)):
+                    try:
+                        message = reader.recv()
+                    except EOFError:
+                        proc = readers.pop(reader)
+                        reader.close()
+                        proc.join()
+                        if proc.exitcode:
+                            # it died holding a row: the others finish theirs
+                            _stop_claims(counter, config.last)
+                        continue
+                    if isinstance(message, BaseException):
+                        raise message
+                    index, row = message
+                    buffered[index] = row
+                while next_index in buffered:
+                    out.write(buffered.pop(next_index) + "\n")
+                    out.flush()
+                    next_index += 1
+                    if (next_index - start) % FSYNC_EVERY == 0:
+                        os.fsync(out.fileno())
+        except BaseException:
+            _stop_claims(counter, config.last)
+            for proc in readers.values():
+                proc.terminate()
+            raise
+        finally:
+            for reader, proc in readers.items():
+                reader.close()
+                proc.join()
         out.flush()
         os.fsync(out.fileno())
     if next_index != config.last:
-        raise AssertionError(f"sweep stopped at index {next_index}, expected {config.last}")
+        raise RuntimeError(f"a sweep worker exited without a result: row {next_index} is missing")
     return config.output_path
 
 

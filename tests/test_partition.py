@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quadexp.family import ParamInterval, phase_domain
 from quadexp.partition import (
@@ -14,6 +16,19 @@ from quadexp.partition import (
 from quadexp.rigor import RigorError, representable
 
 from conftest import cells_of
+
+
+def _theta(a_min: float, a_max: float, n: int, i: int) -> float:
+    g = math.gcd(i, n)
+    return a_min + ((i // g) * (a_max - a_min)) / (n // g)
+
+
+def _eager_points(a_min: float, a_max: float, n: int) -> np.ndarray:
+    """Every grid point at once, as the grid was built before it evaluated
+    the formula only where asked."""
+    i = np.arange(n + 1, dtype=np.int64)
+    g = np.gcd(i, n)
+    return a_min + ((i // g) * (a_max - a_min)) / (n // g)
 
 
 class TestParamGrid:
@@ -42,10 +57,7 @@ class TestParamGrid:
     @pytest.mark.parametrize("n", [1, 7, 6000, 60000, 120000])
     def test_points_match_the_formula_bit_for_bit(self, n):
         a_min, a_max = representable("1.4"), 2.0
-        expect = []
-        for i in range(n + 1):
-            g = math.gcd(i, n)
-            expect.append(a_min + ((i // g) * (a_max - a_min)) / (n // g))
+        expect = [_theta(a_min, a_max, n, i) for i in range(n + 1)]
         points = subdivide_parameters(a_min, a_max, n).points
         assert points.dtype == np.float64 and not points.flags.writeable
         assert [p.hex() for p in points.tolist()] == [p.hex() for p in expect]
@@ -58,6 +70,43 @@ class TestParamGrid:
         assert type(om.a_lo) is float and type(om.a_hi) is float
         with pytest.raises(IndexError):
             g.interval(100)
+
+    @given(
+        a=st.floats(0.0625, 2.0),
+        b=st.floats(0.0625, 2.0),
+        n=st.integers(1, 10**6),
+        i=st.integers(0, 10**6),
+        first=st.integers(0, 10**6),
+        width=st.integers(1, 64),
+    )
+    @example(a=representable("1.4"), b=2.0, n=60000, i=59999, first=12800, width=32)
+    @example(a=1.0, b=2.0, n=1, i=0, first=0, width=1)
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_points_equal_the_eager_array(self, a, b, n, i, first, width):
+        a_min, a_max = min(a, b), max(a, b)
+        assume(a_min < a_max)
+        i, first = i % n, first % n
+        last = min(n, first + width)
+        eager = _eager_points(a_min, a_max, n)
+        grid = subdivide_parameters(a_min, a_max, n)
+        for j in (0, i, n - 1):
+            om = grid.interval(j)
+            assert (om.a_lo.hex(), om.a_hi.hex()) == (eager[j].hex(), eager[j + 1].hex())
+        # the points the sweep reads for rows [first, last)
+        assert grid.window(first, last).tobytes() == eager[first:last + 1].tobytes()
+        assert grid.points.tobytes() == eager.tobytes()
+
+    def test_huge_grid_serves_intervals_without_its_array(self):
+        # the full array would take 8 TiB
+        a_min, n = representable("1.4"), 2**40
+        grid = subdivide_parameters(a_min, 2.0, n)
+        for i in (0, 3**25, n - 1):
+            om = grid.interval(i)
+            assert (om.a_lo, om.a_hi) == (_theta(a_min, 2.0, n, i), _theta(a_min, 2.0, n, i + 1))
+        assert grid.interval(n - 1).a_hi == 2.0
+        assert grid.window(n - 2, n).tolist() == [_theta(a_min, 2.0, n, i) for i in (n - 2, n - 1, n)]
+        with pytest.raises(IndexError):
+            grid.window(n - 2, n + 1)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

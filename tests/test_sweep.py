@@ -264,20 +264,80 @@ class TestRunSweep:
         assert max(on_disk) > 1  # the header and at least one row
 
     def test_no_more_workers_than_rows_left(self, tmp_path, monkeypatch):
-        # a forking pool starts all its workers at the first submit
         started = []
+        fork_process = multiprocessing.get_context("fork").Process
+        real_start = fork_process.start
 
-        class Spy(sweep_mod.ProcessPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                started.append(len(self._processes or ()))
-                super().shutdown(*args, **kwargs)
+        def spying_start(self):
+            started.append(self)
+            real_start(self)
 
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(fork_process, "start", spying_start)
         run_sweep(fast_config(tmp_path, "one.csv", first=3, last=4, workers=4))
-        assert started == [1]
-        # with every row kept, no pool is opened
+        assert len(started) == 1
+        # with every row kept, no worker starts
         run_sweep(fast_config(tmp_path, "one.csv", first=3, last=4, workers=4))
-        assert started == [1]
+        assert len(started) == 1
+
+    def test_a_dead_worker_is_named(self, tmp_path, monkeypatch):
+        real = sweep_mod.analyze
+
+        def dying(omega, *args, **kwargs):
+            if omega.index == 5:
+                os._exit(3)
+            return real(omega, *args, **kwargs)
+
+        def too_slow(signum, frame):
+            raise TimeoutError("run_sweep hangs after a worker died")
+
+        straight = run_sweep(fast_config(tmp_path, "straight.csv", last=9))
+        monkeypatch.setattr(sweep_mod, "analyze", dying)
+        cfg = fast_config(tmp_path, "dead.csv", last=9, workers=2)
+        saved = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="row 5 is missing"):
+                run_sweep(cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, saved)
+        assert multiprocessing.active_children() == []
+        with open(straight) as fh:
+            expected = fh.read().splitlines()
+        assert (tmp_path / "dead.csv").read_text().splitlines() == expected[:6]  # header, rows 0-4
+        monkeypatch.setattr(sweep_mod, "analyze", real)
+        run_sweep(cfg)
+        with open(straight, "rb") as f1, open(cfg.output_path, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_other_workers_stop_after_a_raise(self, tmp_path, monkeypatch):
+        # each analysis start is one line, appended with O_APPEND so the
+        # workers' lines interleave whole
+        log = str(tmp_path / "starts")
+        real = sweep_mod.analyze
+
+        def logged(omega, *args, **kwargs):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{os.getpid()} {omega.index}\n".encode())
+            finally:
+                os.close(fd)
+            if omega.index == 3:
+                raise Interrupted
+            return real(omega, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "analyze", logged)
+        with pytest.raises(Interrupted):
+            run_sweep(fast_config(tmp_path, "raised.csv", last=20, workers=2))
+        assert multiprocessing.active_children() == []
+        with open(log) as fh:
+            starts = [line.split() for line in fh]
+        raised = [i for i, (_, index) in enumerate(starts) if index == "3"]
+        assert len(raised) == 1
+        raiser = starts[raised[0]][0]
+        after = [pid for pid, _ in starts[raised[0] + 1:]]
+        assert raiser not in after
+        assert all(after.count(pid) <= 1 for pid in after)
 
     def test_panic_recorded_and_continues(self, tmp_path, monkeypatch):
         real = sweep_mod.analyze
