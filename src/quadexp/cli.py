@@ -182,6 +182,9 @@ def _cmd_plotdata(parser, args) -> int:
 
 
 def _cmd_selfcheck(parser, args) -> int:
+    for flag, value in (("--orbits", args.orbits), ("--steps", args.steps)):
+        if value < 1:
+            parser.error(f"{flag} {value} is below 1")
     omega = _interval_from_flags(parser, args)
     rng = random.Random(args.seed)
     ok = selfcheck_mod.run_selfcheck(

@@ -23,7 +23,10 @@ Three solvers are provided:
   rounds, and only the vertices that switch edges search for their best
   edge; the sequence of policies, hence every result, is the one the full
   work would give.  On request it stops at the first policy cycle whose
-  exact mean is nonpositive, when only the sign of the answer is wanted.
+  exact mean is nonpositive, when only the sign of the answer is wanted,
+  and it starts from a given policy (``successors``, one successor per
+  vertex), such as the final policy of a solve on a nearby graph, and
+  hands back the policy it ends with.
 
 The two fast solvers return the same certificate: for vertex labels that
 never decrease along an edge and any potentials x, the least down-rounded
@@ -258,6 +261,35 @@ def _first_minima(values, lows, begin, count):
     return np.minimum.reduceat(at, np.cumsum(count) - count)
 
 
+def _start_from(successors, alive, index, src, dst, policy) -> None:
+    """Put each vertex u left by pruning on the edge (u, successors[u]) of
+    the pruned graph where that edge exists; the others keep their edge in
+    policy.  The pruned graph's m vertices are renumbered by index and its
+    edges src -> dst are in (source, target) order, so one search of the
+    keys src * m + dst finds every wanted edge."""
+    n = alive.size
+    want = successors[alive]
+    ok = (want >= 0) & (want < n)
+    ok[ok] = alive[want[ok]]
+    u = np.flatnonzero(ok)
+    if not u.size:
+        return
+    m = int(index[-1]) + 1
+    key = src * m + dst
+    wanted = u * m + index[want[u]]
+    at = np.minimum(np.searchsorted(key, wanted), key.size - 1)
+    found = key[at] == wanted
+    policy[u[found]] = at[found]
+
+
+def _record(successors, alive, succ) -> None:
+    """Write the pruned graph's policy succ into successors in the graph's
+    own numbering, with -1 at the pruned vertices."""
+    live = np.flatnonzero(alive)
+    successors.fill(-1)
+    successors[live] = live[succ]
+
+
 def _policy_cycle(succ, root: int) -> list[int]:
     """Vertices of the policy cycle through root, from root in edge
     order."""
@@ -476,7 +508,7 @@ def _karp_witness(src, w, targets, seg_starts, table, v_star: int) -> list[int] 
 
 
 def min_cycle_mean_lowmem(
-    graph: WeightedDigraph, *, stop_at_nonpositive: bool = False
+    graph: WeightedDigraph, *, stop_at_nonpositive: bool = False, successors=None
 ) -> CycleMeanResult:
     """Minimum cycle mean by Howard policy iteration, with working memory
     linear in the edge count.
@@ -507,9 +539,24 @@ def min_cycle_mean_lowmem(
     The full solve's value is at most that mean too, so both values are
     <= 0 together; when the solve does not stop, its result is the full
     solve's bit for bit, since the check only reads.
+
+    ``successors``, when given, is an int64 array of ``num_vertices``
+    entries that sets the starting policy and receives the final one.  On
+    entry a vertex u left by pruning starts on the edge (u, successors[u])
+    if the pruned graph has it, and on its lightest edge otherwise (so -1
+    asks for no start).  On return it holds each such vertex's successor
+    under the final policy, and -1 at the pruned vertices, the critical
+    cell among them.  Howard's iteration converges from any policy, and
+    the certificate holds whatever potentials it reads, so a start changes
+    the work, not the guarantee; the value it ends at may differ from a
+    cold solve's in the rounding of the potentials.
     """
+    if successors is not None and successors.shape != (graph.num_vertices,):
+        raise ValueError(f"successors must have {graph.num_vertices} entries, not {successors.shape}")
     alive = _prune(graph)
     if not alive.any():
+        if successors is not None:
+            successors.fill(-1)
         return CycleMeanResult(None, None)
     keep = alive[graph.src] & alive[graph.dst]
     index = np.cumsum(alive) - 1
@@ -519,6 +566,8 @@ def min_cycle_mean_lowmem(
     lengths = np.diff(starts, append=src.size)
 
     policy = _first_minima(w, np.minimum.reduceat(w, starts), starts, lengths)
+    if successors is not None:
+        _start_from(successors, alive, index, src, dst, policy)
     # E-sized work space, reused by every iteration (the indices are in
     # range, so mode="clip" only spares np.take a buffered copy)
     vals, tmp = np.empty(src.size), np.empty(src.size)
@@ -531,6 +580,8 @@ def min_cycle_mean_lowmem(
                 cycle = _policy_cycle(dst[policy], root)
                 # fsum is correctly rounded, so it has the exact sum's sign
                 if math.fsum(w[policy[cycle]].tolist()) <= 0.0:
+                    if successors is not None:
+                        _record(successors, alive, dst[policy])
                     witness = np.flatnonzero(alive)[cycle].tolist()
                     return CycleMeanResult(float(w.min()), witness)
         np.take(eta, dst, out=vals, mode="clip")
@@ -561,6 +612,8 @@ def min_cycle_mean_lowmem(
     # the certificate's temporaries set the solve's peak memory
     del vals, tmp, mask
     value = _certify(src, dst, w, eta, x)
+    if successors is not None:
+        _record(successors, alive, dst[policy])
     cycle = _policy_cycle(dst[policy].tolist(), int(roots[np.argmin(eta[roots])]))
     return CycleMeanResult(value, np.flatnonzero(alive)[cycle].tolist())
 

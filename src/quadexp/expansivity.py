@@ -21,6 +21,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digraph import build_representation, min_cycle_mean_lowmem
 from .family import ParamInterval
 from .partition import phase_partition
@@ -116,7 +118,12 @@ class DeltaBound:
 
 
 def lambda_bound(
-    omega: ParamInterval, delta: float, k: int, *, stop_at_nonpositive: bool = False
+    omega: ParamInterval,
+    delta: float,
+    k: int,
+    *,
+    stop_at_nonpositive: bool = False,
+    successors=None,
 ) -> float:
     """Certified lower bound for the expansion exponent of every map in
     omega outside (-delta, delta), from the minimum cycle mean of the
@@ -128,10 +135,15 @@ def lambda_bound(
     ``stop_at_nonpositive`` the solve stops once the value is known to be
     <= 0 and returns a cheaper nonpositive bound, below the full solve's
     value in general; a positive value is the full solve's, bit for bit.
+    ``successors`` is handed to ``min_cycle_mean_lowmem``: an array of
+    k + 1 vertices' successors that the solve starts from and that
+    receives the policy it ends with.
     """
     partition = phase_partition(omega, delta, k)
     graph = build_representation(omega, partition)
-    return min_cycle_mean_lowmem(graph, stop_at_nonpositive=stop_at_nonpositive).value
+    return min_cycle_mean_lowmem(
+        graph, stop_at_nonpositive=stop_at_nonpositive, successors=successors
+    ).value
 
 
 def _mid_up(lo: float, hi: float) -> float:
@@ -150,8 +162,18 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
     is read unless it is positive, so every probe stops at its first
     nonpositive policy cycle: a failing probe skips the rest of the policy
     iteration and the certificate, and a passing one is the full solve.
+
+    Every probe's graph has the same k_coarse + 1 vertices, and nearby
+    radii give nearly the same graph, so each probe's policy iteration
+    starts from the final policy of the last passing probe, passed as
+    ``successors``; the probe at delta0 starts cold.  Howard's iteration
+    converges from any start and the certificate does not depend on how
+    the policy was reached, so the start changes only the work.
     """
-    coarse = lambda_bound(omega, settings.delta0, settings.k_coarse, stop_at_nonpositive=True)
+    policy = np.full(settings.k_coarse + 1, -1, dtype=np.int64)
+    coarse = lambda_bound(
+        omega, settings.delta0, settings.k_coarse, stop_at_nonpositive=True, successors=policy
+    )
     if coarse <= 0.0:
         return None
     lo, hi = 0.0, settings.delta0
@@ -159,9 +181,14 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
         mid = _mid_up(lo, hi)
         if not lo < mid < hi:
             break
-        value = lambda_bound(omega, mid, settings.k_coarse, stop_at_nonpositive=True)
+        # a failing probe's policy is dropped: the next starts from the
+        # last passing probe's
+        trial = policy.copy()
+        value = lambda_bound(
+            omega, mid, settings.k_coarse, stop_at_nonpositive=True, successors=trial
+        )
         if value > 0.0:
-            hi, coarse = mid, value
+            hi, coarse, policy = mid, value, trial
         else:
             lo = mid
     return DeltaBound(hi, coarse)

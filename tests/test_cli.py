@@ -311,11 +311,22 @@ class TestSelfCheck:
             )
             assert code == 0
 
-    @pytest.mark.parametrize("flags", [["--steps", "1"], ["--orbits", "0"]])
+    @pytest.mark.parametrize("flags", [["--steps", "1"]])
     def test_no_orbit_checked_is_no_pass(self, capsys, flags):
+        # one-point orbits give no edge to check
         code, out, _ = run_cli(capsys, "selfcheck", *FAST_INTERVAL, *flags)
         assert code == 1
         assert "FAIL path-inequality: 0 violations over 0 orbits" in out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--orbits", "0"), ("--orbits", "-1"), ("--steps", "0"), ("--steps", "-1")]
+    )
+    def test_sample_size_below_one_is_a_usage_error(self, capsys, flag, value):
+        # no orbit could be checked, so the run is refused before it starts
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck", *FAST_INTERVAL, flag, value])
+        assert exc.value.code == 2
+        assert f"{flag} {value} is below 1" in capsys.readouterr().err
 
 
 class TestReadmeExamples:

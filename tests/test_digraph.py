@@ -15,6 +15,7 @@ from quadexp.digraph import (
     WeightedDigraph,
     _certify,
     _evaluate,
+    _prune,
     brute_force_cycle_mean,
     build_representation,
     dump_graph,
@@ -22,7 +23,7 @@ from quadexp.digraph import (
     min_cycle_mean_karp,
     min_cycle_mean_lowmem,
 )
-from quadexp.expansivity import lambda_bound
+from quadexp.expansivity import delta_bound, lambda_bound
 from quadexp.family import ParamInterval, phase_domain
 from quadexp.partition import breakpoint_dump, phase_partition, subdivide_parameters
 from quadexp.rigor import RigorError, representable
@@ -484,17 +485,24 @@ class TestPolicyEvaluation:
         assert np.array_equal(roots, want_roots)
 
 
-def check_stopped_solve(graph):
-    """min_cycle_mean_lowmem with the stop flag against the full solve: the
-    same sign, the same result when the full value is positive, and when it
-    stops, a witness cycle of exact mean <= 0 bounding the value from
-    above."""
-    full = min_cycle_mean_lowmem(graph)
-    got = min_cycle_mean_lowmem(graph, stop_at_nonpositive=True)
+def check_stopped_solve(graph, successors=None):
+    """min_cycle_mean_lowmem with the stop flag against the full solve from
+    the same start (each on a copy of successors, then checked by
+    check_returned_policy): the cold full solve's sign, the same result
+    when the full value is positive, and when it stops, a witness cycle of
+    exact mean <= 0 bounding the value from above.  Returns the cold and
+    the started full solve's results."""
+    cold = min_cycle_mean_lowmem(graph)
+    starts = [None if successors is None else successors.copy() for _ in range(2)]
+    full = min_cycle_mean_lowmem(graph, successors=starts[0])
+    got = min_cycle_mean_lowmem(graph, stop_at_nonpositive=True, successors=starts[1])
+    if successors is not None:
+        for start in starts:
+            check_returned_policy(graph, start)
     if full.value is None:
-        assert got == full
-        return
-    assert (got.value <= 0.0) == (full.value <= 0.0)
+        assert got == full == cold
+        return cold, full
+    assert (got.value <= 0.0) == (cold.value <= 0.0)
     if full.value > 0.0:
         assert got.value.hex() == full.value.hex()
         assert got.witness_cycle == full.witness_cycle
@@ -502,6 +510,20 @@ def check_stopped_solve(graph):
         mean = exact_cycle_mean(graph, got.witness_cycle)
         assert mean <= 0
         assert Fraction(got.value) <= mean
+    return cold, full
+
+
+def count_evaluations(monkeypatch):
+    """List that gains one entry per policy evaluation from now on."""
+    calls = []
+    evaluate = digraph._evaluate
+
+    def counting(succ, cost):
+        calls.append(1)
+        return evaluate(succ, cost)
+
+    monkeypatch.setattr(digraph, "_evaluate", counting)
+    return calls
 
 
 class TestStopAtNonpositive:
@@ -548,19 +570,118 @@ class TestStopAtNonpositive:
         # the lightest-edge policy only
         omega = subdivide_parameters(representable("1.4"), 2.0, 60000).interval(12800)
         graph = build_representation(omega, phase_partition(omega, 0.001, 1000))
-        calls = []
-
-        def counting(succ, cost):
-            calls.append(1)
-            return evaluate(succ, cost)
-
-        evaluate = digraph._evaluate
-        monkeypatch.setattr(digraph, "_evaluate", counting)
+        calls = count_evaluations(monkeypatch)
         assert min_cycle_mean_lowmem(graph, stop_at_nonpositive=True).value <= 0.0
         assert len(calls) == 1
         calls.clear()
         assert min_cycle_mean_lowmem(graph).value <= 0.0
         assert len(calls) == 7
+
+    @pytest.mark.parametrize("row, evaluations", [(None, 58), (59245, 75)], ids=["flagship", "row-59245"])
+    def test_bisection_evaluations_are_locked(self, flagship, monkeypatch, row, evaluations):
+        # policy evaluations over the 21 probes of delta_bound, each after
+        # the first starting from the last passing probe's policy: from
+        # cold starts they take 161 on the flagship and 152 on grid row
+        # 59245
+        grid = subdivide_parameters(representable("1.4"), 2.0, 60000)
+        omega = flagship if row is None else grid.interval(row)
+        calls = count_evaluations(monkeypatch)
+        assert delta_bound(omega) is not None
+        assert len(calls) == evaluations
+
+
+def random_start(rng, graph):
+    """Starting policy for min_cycle_mean_lowmem: per vertex -1, an
+    out-neighbour, a pruned vertex, the middle vertex (a representation
+    graph's critical cell) or any vertex, most often not a neighbour."""
+    n = graph.num_vertices
+    out = [[] for _ in range(n)]
+    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
+        out[u].append(v)
+    dead = np.flatnonzero(~_prune(graph)).tolist()
+    start = []
+    for u in range(n):
+        # out-neighbours twice, so that a third of the starts are edges
+        pools = [[-1], [n // 2], range(n), dead, out[u], out[u]]
+        start.append(rng.choice(rng.choice([pool for pool in pools if pool])))
+    return np.array(start, dtype=np.int64)
+
+
+def check_returned_policy(graph, successors):
+    """After a solve, every vertex left by pruning holds one of its
+    out-neighbours, itself left by pruning, and -1 marks exactly the
+    pruned vertices."""
+    alive = _prune(graph)
+    assert np.array_equal(successors == -1, ~alive)
+    edges = set(zip(graph.src.tolist(), graph.dst.tolist()))
+    assert all((u, successors[u]) in edges for u in np.flatnonzero(alive).tolist())
+    assert alive[successors[alive]].all()
+
+
+def check_started_solve(graph, start):
+    """The solve from start against the cold one: a value within 1e-9,
+    a witness it bounds, the stopped solve's sign, and the returned
+    policy.  Returns the started solve's result."""
+    cold, got = check_stopped_solve(graph, start)
+    if cold.value is None:
+        return got
+    assert abs(got.value - cold.value) <= 1e-9
+    assert exact_cycle_mean(graph, got.witness_cycle) >= Fraction(got.value)
+    return got
+
+
+class TestStartingPolicy:
+    def test_random_int_graphs(self, rng):
+        for _ in range(300):
+            g = random_int_graph(rng)
+            got = check_started_solve(g, random_start(rng, g))
+            if got.value is not None:
+                assert got.value <= brute_force_cycle_mean(g).value
+
+    @given(
+        a_lo=st.floats(1.0, 2.0),
+        width=st.floats(0.0, 0.01),
+        log2_delta=st.floats(-13.0, 0.0),
+        half=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_representation_graphs(self, a_lo, width, log2_delta, half, seed):
+        omega, delta = ParamInterval(0, a_lo, min(a_lo + width, 2.0)), 2.0**log2_delta
+        try:
+            part = phase_partition(omega, delta, 2 * half)
+        except RigorError:
+            reject()  # k too large for [delta, sup]
+        graph = build_representation(omega, part)
+        check_started_solve(graph, random_start(random.Random(seed), graph))
+
+    def test_no_start_is_the_cold_solve(self, rng, flagship):
+        graphs = [random_int_graph(rng) for _ in range(100)]
+        graphs.append(build_representation(flagship, phase_partition(flagship, 0.001, 1000)))
+        for g in graphs:
+            successors = np.full(g.num_vertices, -1, dtype=np.int64)
+            cold = min_cycle_mean_lowmem(g)
+            got = min_cycle_mean_lowmem(g, successors=successors)
+            assert got == cold
+            if got.value is not None:
+                assert got.value.hex() == cold.value.hex()
+            check_returned_policy(g, successors)
+
+    def test_start_at_the_final_policy(self, flagship, monkeypatch):
+        # the final policy is a fixed point: one evaluation, the same bits
+        graph = build_representation(flagship, phase_partition(flagship, 0.001, 1000))
+        successors = np.full(graph.num_vertices, -1, dtype=np.int64)
+        cold = min_cycle_mean_lowmem(graph, successors=successors)
+        calls = count_evaluations(monkeypatch)
+        again = min_cycle_mean_lowmem(graph, successors=successors.copy())
+        assert len(calls) == 1
+        assert again.value.hex() == cold.value.hex()
+        assert again.witness_cycle == cold.witness_cycle
+
+    def test_wrong_length_rejected(self):
+        g = WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
+        with pytest.raises(ValueError, match="successors must have 2 entries"):
+            min_cycle_mean_lowmem(g, successors=np.zeros(3, dtype=np.int64))
 
 
 class TestWitnesses:

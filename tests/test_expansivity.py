@@ -158,7 +158,9 @@ class TestAnalyze:
         monkeypatch.setattr(
             expansivity,
             "lambda_bound",
-            lambda omega, delta, k, *, stop_at_nonpositive=False: 0.5 if k == 200 else -0.125,
+            lambda omega, delta, k, *, stop_at_nonpositive=False, successors=None: (
+                0.5 if k == 200 else -0.125
+            ),
         )
         res = analyze(flagship, settings=Settings(k_fine=64, k_coarse=200, bisection_steps=4))
         assert res.status is Status.SUCCESS
@@ -246,7 +248,7 @@ class TestBisectionBehavior:
         threshold = 0.0004
         calls = []
 
-        def fake(omega, delta, k, *, stop_at_nonpositive=False):
+        def fake(omega, delta, k, *, stop_at_nonpositive=False, successors=None):
             calls.append(delta)
             return 1.0 if delta >= threshold else -1.0
 
@@ -261,14 +263,29 @@ class TestBisectionBehavior:
     def test_only_bisection_probes_stop_early(self, flagship, monkeypatch):
         # delta_bound reads only the sign of a failing probe, so every probe
         # may stop at a nonpositive cycle; the fine stage's value is
-        # reported, so its solve runs in full
-        calls = []
+        # reported, so its solve runs in full.  Every probe gets a policy
+        # buffer of k_coarse + 1 entries, the first one empty (all -1);
+        # the fine stage gets none
+        calls, starts, passed = [], [], []
 
-        def fake(omega, delta, k, *, stop_at_nonpositive=False):
+        def fake(omega, delta, k, *, stop_at_nonpositive=False, successors=None):
             calls.append((k, stop_at_nonpositive))
-            return 1.0 if delta >= 0.0004 else -1.0
+            starts.append(None if successors is None else successors.copy())
+            if successors is not None:
+                successors.fill(len(calls))  # the policy this probe ends with
+            passed.append(delta >= 0.0004)
+            return 1.0 if passed[-1] else -1.0
 
         monkeypatch.setattr(expansivity, "lambda_bound", fake)
         res = analyze(flagship, settings=Settings(k_coarse=200, k_fine=64, bisection_steps=20))
         assert res.status is Status.SUCCESS
         assert calls == [(200, True)] * 21 + [(64, False)]
+        assert all(start is not None and start.shape == (201,) for start in starts[:21])
+        assert np.all(starts[0] == -1)
+        assert starts[21] is None
+        # each later probe starts from the policy of the last passing probe
+        # before it: a failing probe's policy is dropped
+        assert passed[0] and not all(passed[:21])
+        for i in range(1, 21):
+            last_pass = max(j for j in range(i) if passed[j])
+            assert np.all(starts[i] == last_pass + 1)
