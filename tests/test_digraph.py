@@ -684,6 +684,49 @@ class TestStartingPolicy:
             min_cycle_mean_lowmem(g, successors=np.zeros(3, dtype=np.int64))
 
 
+class TestLockedSolves:
+    """Value, witness and returned policy of production solves on the
+    flagship, bit for bit: a refactor of the solver must not move any of
+    them."""
+
+    DELTA_BAR = float.fromhex("0x1.9484fdf3b645cp-11")
+    K1000 = (
+        "0x1.afe3040800000p-23",
+        [39, 80, 121, 145, 501, 1000],
+        "6d9fcb7290ae4bd3054810550ec9cb4f124131a458bf1f655969a90307fe0b98",
+    )
+
+    def solve(self, flagship, delta, k, want, start=None, stop=False):
+        graph = build_representation(flagship, phase_partition(flagship, delta, k))
+        successors = np.full(k + 1, -1, dtype=np.int64) if start is None else start.copy()
+        got = min_cycle_mean_lowmem(graph, stop_at_nonpositive=stop, successors=successors)
+        value, witness, digest = want
+        assert got.value.hex() == value
+        assert got.witness_cycle == witness
+        assert hashlib.sha256(successors.tobytes()).hexdigest() == digest
+        return successors
+
+    def test_cold_and_warm_full_solves_at_k_1000(self, flagship):
+        final = self.solve(flagship, self.DELTA_BAR, 1000, self.K1000)
+        self.solve(flagship, self.DELTA_BAR, 1000, self.K1000, start=final)
+
+    def test_cold_full_solve_at_k_20000(self, flagship):
+        want = (
+            "0x1.5d24b692baeb8p-2",
+            [3, 6, 9, 12, 81, 1084, 19710, 10001, 20000],
+            "1d6d7d0949f74b3a8550d514855f0d761c15e38df5e2d10fdd722db982030c76",
+        )
+        self.solve(flagship, self.DELTA_BAR, 20000, want)
+
+    def test_stopped_solve_at_k_100(self, flagship):
+        want = (
+            "-0x1.8dbc239b0b863p+2",
+            [10, 16, 51, 100],
+            "28ce05616b788e4ad5c4064615a0bc9940fd152197e488cf6bcb5f8f8802bb8a",
+        )
+        self.solve(flagship, 0.001, 100, want, stop=True)
+
+
 class TestWitnesses:
     def test_witness_attains_value(self, rng):
         for _ in range(100):
