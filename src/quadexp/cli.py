@@ -15,14 +15,7 @@ import sys
 import time
 
 from . import selfcheck as selfcheck_mod
-from .digraph import (
-    brute_force_cycle_mean,
-    build_representation,
-    dump_graph,
-    load_graph,
-    min_cycle_mean_karp,
-    min_cycle_mean_lowmem,
-)
+from .digraph import build_representation, dump_graph, load_graph, min_cycle_mean_lowmem
 from .expansivity import Settings, analyze, delta_bound, lambda_bound
 from .family import ParamInterval
 from .partition import breakpoint_dump, phase_partition, subdivide_parameters
@@ -144,12 +137,7 @@ def _cmd_graph(parser, args) -> int:
 def _cmd_mincyclemean(parser, args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
         graph = load_graph(fh.read())
-    if args.algorithm == "karp":
-        res = min_cycle_mean_karp(graph)
-    elif args.algorithm == "brute":
-        res = brute_force_cycle_mean(graph)
-    else:
-        res = min_cycle_mean_lowmem(graph)
+    res = min_cycle_mean_lowmem(graph)
     if res.value is None:
         print("NONE")
     else:
@@ -232,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("mincyclemean", help="minimum cycle mean of a dumped graph")
+    p = sub.add_parser("mincyclemean", help="minimum cycle mean of a dumped graph, by the pipeline's solver")
     p.add_argument("--input", required=True, help="graph dump file")
-    p.add_argument("--algorithm", choices=("karp", "lowmem", "brute"), default="lowmem")
     p.add_argument("--witness", action="store_true", help="also print a witness cycle")
     p.set_defaults(func=_cmd_mincyclemean)
 

@@ -10,7 +10,9 @@ along any path matching a true orbit is a lower bound for the log of the
 accumulated derivative, and the minimum mean weight over all cycles is a
 certified lower bound for the expansion exponent.
 
-Three solvers are provided:
+Three solvers are provided.  The pipeline and every command solve with
+the third; the first two are references that only the tests and the
+benchmark's output check call:
 
 * ``brute_force_cycle_mean`` enumerates simple cycles with exact rational
   arithmetic (test oracle, tiny graphs only);
@@ -282,14 +284,6 @@ def _start_from(successors, alive, index, src, dst, policy) -> None:
     policy[u[found]] = at[found]
 
 
-def _record(successors, alive, succ) -> None:
-    """Write the pruned graph's policy succ into successors in the graph's
-    own numbering, with -1 at the pruned vertices."""
-    live = np.flatnonzero(alive)
-    successors.fill(-1)
-    successors[live] = live[succ]
-
-
 def _policy_cycle(succ, root: int) -> list[int]:
     """Vertices of the policy cycle through root, from root in edge
     order."""
@@ -464,21 +458,19 @@ def min_cycle_mean_karp(graph: WeightedDigraph) -> CycleMeanResult:
             if worst is not None and (best is None or worst < best):
                 best = worst
                 v_star = col
-        witness = _karp_witness(src, w, targets, seg_starts, table, v_star)
-        return CycleMeanResult(float_down(best), witness)
-
-    per_vertex = np.full(cols.size, -_INF)
-    for j in range(n):
-        per_vertex = np.maximum(per_vertex, (last[cols] - table[j, cols]) / (n - j))
-    pick = int(per_vertex.argmin())
-    mu = float(per_vertex[pick])
-    witness = _karp_witness(src, w, targets, seg_starts, table, int(cols[pick]))
-
-    lowest = table[0].copy()
-    for j in range(1, n + 1):
-        np.minimum(lowest, table[j] - j * mu, out=lowest)
-    value = _certify(graph.src, graph.dst, graph.weight, np.zeros(n), -lowest)
-    return CycleMeanResult(value, witness)
+        value = float_down(best)
+    else:
+        per_vertex = np.full(cols.size, -_INF)
+        for j in range(n):
+            per_vertex = np.maximum(per_vertex, (last[cols] - table[j, cols]) / (n - j))
+        pick = int(per_vertex.argmin())
+        mu = float(per_vertex[pick])
+        v_star = int(cols[pick])
+        lowest = table[0].copy()
+        for j in range(1, n + 1):
+            np.minimum(lowest, table[j] - j * mu, out=lowest)
+        value = _certify(graph.src, graph.dst, graph.weight, np.zeros(n), -lowest)
+    return CycleMeanResult(value, _karp_witness(src, w, targets, seg_starts, table, v_star))
 
 
 def _karp_witness(src, w, targets, seg_starts, table, v_star: int) -> list[int] | None:
@@ -574,16 +566,13 @@ def min_cycle_mean_lowmem(
     mask = np.empty(src.size, dtype=bool)
     while True:
         eta, x, roots = _evaluate(dst[policy], w[policy])
-        if stop_at_nonpositive:
-            root = int(roots[np.argmin(eta[roots])])
-            if eta[root] <= 0.0:
-                cycle = _policy_cycle(dst[policy], root)
-                # fsum is correctly rounded, so it has the exact sum's sign
-                if math.fsum(w[policy[cycle]].tolist()) <= 0.0:
-                    if successors is not None:
-                        _record(successors, alive, dst[policy])
-                    witness = np.flatnonzero(alive)[cycle].tolist()
-                    return CycleMeanResult(float(w.min()), witness)
+        root = int(roots[np.argmin(eta[roots])])
+        if stop_at_nonpositive and eta[root] <= 0.0:
+            cycle = _policy_cycle(dst[policy], root)
+            # fsum is correctly rounded, so it has the exact sum's sign
+            if math.fsum(w[policy[cycle]].tolist()) <= 0.0:
+                value = float(w.min())
+                break
         np.take(eta, dst, out=vals, mode="clip")
         np.take(eta, src, out=tmp, mode="clip")
         np.less(vals, tmp, out=mask)
@@ -604,18 +593,20 @@ def min_cycle_mean_lowmem(
             # threshold, carries the guarantee
             switch = lows < x - 2.0**-44 * (1.0 + float(np.abs(x).max()))
             if not switch.any():
+                # the certificate's temporaries set the solve's peak memory
+                del vals, tmp, mask
+                value = _certify(src, dst, w, eta, x)
+                cycle = _policy_cycle(dst[policy], root)
                 break
         # only the switching vertices need the first minimum's position
         movers = np.flatnonzero(switch)
         policy[movers] = _first_minima(vals, lows[movers], starts[movers], lengths[movers])
 
-    # the certificate's temporaries set the solve's peak memory
-    del vals, tmp, mask
-    value = _certify(src, dst, w, eta, x)
+    live = np.flatnonzero(alive)
     if successors is not None:
-        _record(successors, alive, dst[policy])
-    cycle = _policy_cycle(dst[policy].tolist(), int(roots[np.argmin(eta[roots])]))
-    return CycleMeanResult(value, np.flatnonzero(alive)[cycle].tolist())
+        successors.fill(-1)
+        successors[live] = live[dst[policy]]
+    return CycleMeanResult(value, live[cycle].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -53,15 +54,22 @@ class Status(enum.Enum):
 
     Every SUCCESS carries a finite exponent.  ERROR is defensive only: it
     marks a sweep row whose analysis raised, never on valid input.
-    FINE_PARTITION_ARTIFACT is no longer produced; it stays so that results
-    files written when a nonpositive fine bound discarded the coarse one
-    still parse.
     """
 
     SUCCESS = "SUCCESS"
     NO_EXPANSION_AT_DELTA0 = "NO_EXPANSION_AT_DELTA0"
-    FINE_PARTITION_ARTIFACT = "FINE_PARTITION_ARTIFACT"
     ERROR = "ERROR"
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise ValueError naming the first of config's named fields that is
+    not an integer (a value ``operator.index`` refuses, such as 1000.0)."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -69,8 +77,9 @@ class Settings:
     """The settings that decide an analysis: cell counts of the coarse
     (bisection) and fine stages, the initial radius, and the number of
     bisection steps.  Construction raises ValueError for settings that no
-    interval can run with: a cell count that is odd or below 2, an initial
-    radius outside (0, 1], or a negative number of steps."""
+    interval can run with: a cell count or step count that is not an
+    integer, a cell count that is odd or below 2, an initial radius outside
+    (0, 1], or a negative number of steps."""
 
     k_coarse: int = DEFAULT_K_COARSE
     k_fine: int = DEFAULT_K_FINE
@@ -78,6 +87,7 @@ class Settings:
     bisection_steps: int = DEFAULT_BISECTION_STEPS
 
     def __post_init__(self) -> None:
+        require_integers(self, "k_coarse", "k_fine", "bisection_steps")
         for name, k in (("coarse", self.k_coarse), ("fine", self.k_fine)):
             if k < 2 or k % 2 != 0:
                 raise ValueError(f"{name} cell count must be even and >= 2, got {k}")

@@ -41,7 +41,7 @@ import time
 from dataclasses import asdict, dataclass
 from multiprocessing.connection import wait
 
-from .expansivity import AnalysisResult, Settings, Status, analyze
+from .expansivity import AnalysisResult, Settings, Status, analyze, require_integers
 from .family import ParamInterval
 from .partition import subdivide_parameters
 from .rigor import representable
@@ -76,6 +76,7 @@ class SweepConfig:
     output_path: str = "results.csv"
 
     def validate(self) -> None:
+        require_integers(self, "n", "first", "last", "workers")
         if not (0.0 < self.a_min and self.a_max <= 2.0):
             raise ValueError(f"parameter range [{self.a_min!r}, {self.a_max!r}] outside (0, 2]")
         if not 0 <= self.first < self.last <= self.n:

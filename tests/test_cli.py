@@ -172,26 +172,20 @@ class TestDumps:
         graph_file = tmp_path / "g.txt"
         graph_file.write_text(out)
 
-        results = {}
-        for algo in ("karp", "lowmem"):
-            code, out2, _ = run_cli(
-                capsys, "mincyclemean", "--input", str(graph_file), "--algorithm", algo
-            )
-            assert code == 0
-            results[algo] = float.fromhex(out2.split()[0])
-        assert abs(results["karp"] - results["lowmem"]) <= 1e-9
+        code, out2, _ = run_cli(capsys, "mincyclemean", "--input", str(graph_file))
+        assert code == 0
         # the loaded dump solves to the bits the builder's own graph gives
         code, out3, _ = run_cli(
             capsys, "lambda", *FAST_INTERVAL, "--delta", "0.01", "--k", "60"
         )
         assert code == 0
-        assert float.fromhex(out3.split()[0]) == results["lowmem"]
+        assert out2.split()[0] == out3.split()[0]
 
     def test_mincyclemean_witness_and_none(self, capsys, tmp_path):
         f = tmp_path / "tri.txt"
         f.write_text("vertices 3\n  0 1 0x1p0\n  1 2 0x1p1\n  2 0 0x1.8p1\n")
         code, out, _ = run_cli(
-            capsys, "mincyclemean", "--input", str(f), "--algorithm", "brute", "--witness"
+            capsys, "mincyclemean", "--input", str(f), "--witness"
         )
         assert code == 0
         lines = out.splitlines()
@@ -201,6 +195,15 @@ class TestDumps:
         f2.write_text("vertices 2\n  0 1 0x1p0\n")
         code, out, _ = run_cli(capsys, "mincyclemean", "--input", str(f2))
         assert code == 0 and out.strip() == "NONE"
+
+    def test_mincyclemean_has_no_algorithm_choice(self, capsys, tmp_path):
+        # the command solves with the pipeline's solver only
+        f = tmp_path / "loop.txt"
+        f.write_text("vertices 1\n  0 0 0x1p0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["mincyclemean", "--input", str(f), "--algorithm", "karp"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --algorithm karp" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, flags",

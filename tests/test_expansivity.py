@@ -109,7 +109,11 @@ class TestDeltaBound:
             delta_bound(flagship, settings=Settings(k_coarse=999))
         with pytest.raises(ValueError, match="initial radius must be at most 1, got 1.5"):
             delta_bound(flagship, settings=Settings(delta0=1.5))
+        for name, value in (("k_coarse", 1000.0), ("k_fine", "20000"), ("bisection_steps", 2.5)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                delta_bound(flagship, settings=Settings(**{name: value}))
         assert Settings(delta0=1.0).delta0 == 1.0
+        assert Settings(k_coarse=np.int64(1000)).k_coarse == 1000
 
     def test_coarse_lambda_is_the_probe_at_delta_bar(self, flagship):
         bound = delta_bound(flagship)

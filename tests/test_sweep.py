@@ -90,6 +90,9 @@ class TestRowFormat:
             parse_row("1,2,3", 42)
         with pytest.raises(ValueError, match="line 9"):
             parse_row("x,0x1p0,0x1p0,SUCCESS,,,,,1000,2000,", 9)
+        # a status that is no longer produced is an unknown one
+        with pytest.raises(ValueError, match="line 7"):
+            parse_row("3,0x1p0,0x1p0,FINE_PARTITION_ARTIFACT,,,,,1000,2000,", 7)
 
 
 class TestRunSweep:
@@ -379,12 +382,21 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(workers=0, output_path="x.csv").validate()
         for bad in (dict(k_coarse=1001), dict(k_fine=0), dict(delta0=0.0),
-                    dict(delta0=float("inf")), dict(bisection_steps=-1)):
+                    dict(delta0=float("inf")), dict(bisection_steps=-1),
+                    dict(k_coarse=400.0), dict(k_fine=2000.0)):
             with pytest.raises(ValueError):
                 Settings(**bad)
         for bad in (dict(a_min=0.0), dict(a_max=2.5), dict(a_min=float("nan"))):
             with pytest.raises(ValueError):
                 SweepConfig(output_path="x.csv", **bad).validate()
+        # a count that is not an integer fails before anything is written
+        for name, value in (("n", 16.0), ("first", 0.0), ("last", 4.0), ("workers", 2.0)):
+            fields = dict(a_min=1.9999, a_max=2.0, n=16, first=0, last=4)
+            fields[name] = value
+            cfg = SweepConfig(output_path=str(tmp_path / "int.csv"), **fields)
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                run_sweep(cfg)
+            assert not os.path.exists(tmp_path / "int.csv")
 
     def test_settings_that_fail_every_row_write_nothing(self, tmp_path):
         out = str(tmp_path / "x.csv")
@@ -426,7 +438,7 @@ class TestPlotData:
             AnalysisResult(0, 1.5, 1.6, Status.SUCCESS, 1e-4, 0.1, 1000, 2000, 0),
             AnalysisResult(1, 1.6, 1.7, Status.NO_EXPANSION_AT_DELTA0, None, None, 1000, 2000, 0),
             AnalysisResult(2, 1.7, 1.8, Status.SUCCESS, 2e-4, 0.2, 1000, 2000, 0),
-            AnalysisResult(3, 1.8, 1.9, Status.FINE_PARTITION_ARTIFACT, None, None, 1000, 2000, 0),
+            AnalysisResult(3, 1.8, 1.9, Status.ERROR, None, None, 1000, 2000, 0),
         ]
         path = tmp_path / "mix.csv"
         path.write_text(CSV_HEADER + "\n" + "".join(format_row(r) + "\n" for r in rows))
