@@ -13,6 +13,7 @@ from .digraph import (
     WeightedDigraph,
     brute_force_cycle_mean,
     build_representation,
+    cycle_weight,
     dump_graph,
     load_graph,
     min_cycle_mean_karp,
@@ -48,6 +49,7 @@ __all__ = [
     "analyze",
     "brute_force_cycle_mean",
     "build_representation",
+    "cycle_weight",
     "delta_bound",
     "dump_graph",
     "emit_plot_data",

@@ -8,7 +8,10 @@ the target), and each edge weight under-approximates log|f'| on the set of
 points realizing the transition.  Consequently the sum of weights
 along any path matching a true orbit is a lower bound for the log of the
 accumulated derivative, and the minimum mean weight over all cycles is a
-certified lower bound for the expansion exponent.
+certified lower bound for the expansion exponent.  ``cycle_weight`` sums
+one closed walk's weights by ``build_representation``'s own arithmetic,
+computing only the walk's source cells, so a known cycle can be
+re-checked on a new partition without building its graph.
 
 Three solvers are provided.  The pipeline and every command solve with
 the third; the first two are references that only the tests and the
@@ -63,6 +66,7 @@ __all__ = [
     "WeightedDigraph",
     "CycleMeanResult",
     "build_representation",
+    "cycle_weight",
     "brute_force_cycle_mean",
     "min_cycle_mean_karp",
     "min_cycle_mean_lowmem",
@@ -164,47 +168,61 @@ def _canonical_cycle(cycle: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # representation construction
 
-def build_representation(omega: ParamInterval, partition: PhasePartition) -> WeightedDigraph:
-    """Weighted digraph representing the family on the partitioned phase
-    space, uniformly over the parameter interval.
+def _positive_out_edges(omega: ParamInterval, partition: PhasePartition, lo, hi):
+    """Out-edges of the chosen positive cells [lo[i], hi[i]] of the
+    partition, in ascending order: the number of edges of each cell, and
+    each edge's source i, target cell and weight, in (source, target)
+    order.  Every quantity is computed element by element, so an edge's
+    target and weight do not depend on which other cells are chosen.
 
-    Vertex i is partition cell i, so vertex k/2 is the closed critical
-    cell.  An edge (c, t) is included whenever the image enclosure of a
-    non-critical cell c (clamped to the phase domain) meets cell t and c
-    meets the preimage enclosure of t (the two disagree only where x^2
-    underflows); its weight is the down-rounded infimum of log|2x| over
-    that intersection.  The edges come out in (source, target) order.
+    An edge (c, t) is included whenever the image enclosure of c (clamped
+    to the phase domain) meets cell t and c meets the preimage enclosure of
+    t (the two disagree only where x^2 underflows); its weight is the
+    down-rounded infimum of log|2x| over that intersection.
     """
-    k = partition.k
-    m = k // 2
     dom_sup = phase_domain(omega)
     cell_lo, cell_hi = partition.bounds[:-1], partition.bounds[1:]
-
-    # sources: the positive cells m+1+s.  f(x) = a - x^2 is even and cell
-    # m-1-s is the exact negation of cell m+1+s, so both have the same image
-    # enclosure (hence targets) and the same min|x| on each preimage slice
-    # (hence bit-identical weights): the negative cell copies the edges.
-    lo, hi = cell_lo[m + 1:], cell_hi[m + 1:]
     img_lo = np.maximum(sub_down(omega.a_lo, mul_up(hi, hi)), -dom_sup)
     img_hi = np.minimum(sub_up(omega.a_hi, mul_down(lo, lo)), dom_sup)
 
     # contiguous, ascending run of targets intersecting each image
     first = np.searchsorted(cell_hi, img_lo, side="left")
     counts = np.maximum(np.searchsorted(cell_lo, img_hi, side="right") - first, 0)
-    srcs = np.repeat(np.arange(m, dtype=np.int64), counts)
+    at = np.repeat(np.arange(lo.size, dtype=np.int64), counts)
     dsts = _ranges(first, first + counts)
 
     # weight: down-rounded log|2x| at the inner end of the part of the
     # source inside the target's preimage enclosure
     s_lo = sqrt_down(np.maximum(sub_down(omega.a_lo, cell_hi[dsts]), 0.0))
     s_hi = sqrt_up(sub_up(omega.a_hi, cell_lo[dsts]))
-    j_lo = np.maximum(lo[srcs], s_lo)
-    keep = j_lo <= np.minimum(hi[srcs], s_hi)
+    j_lo = np.maximum(lo[at], s_lo)
+    keep = j_lo <= np.minimum(hi[at], s_hi)
     if not keep.all():
-        srcs, dsts, j_lo = srcs[keep], dsts[keep], j_lo[keep]
-        counts = np.bincount(srcs, minlength=m)
+        at, dsts, j_lo = at[keep], dsts[keep], j_lo[keep]
+        counts = np.bincount(at, minlength=lo.size)
     j_lo *= 2.0
-    weights = log_down(j_lo)
+    return counts, at, dsts, log_down(j_lo)
+
+
+def build_representation(omega: ParamInterval, partition: PhasePartition) -> WeightedDigraph:
+    """Weighted digraph representing the family on the partitioned phase
+    space, uniformly over the parameter interval.
+
+    Vertex i is partition cell i, so vertex k/2 is the closed critical
+    cell, which has no out-edge; the other cells' edges and weights are
+    those of ``_positive_out_edges``.  The edges come out in (source,
+    target) order.
+    """
+    k = partition.k
+    m = k // 2
+    # sources: the positive cells m+1+s.  f(x) = a - x^2 is even and cell
+    # m-1-s is the exact negation of cell m+1+s, so both have the same image
+    # enclosure (hence targets) and the same min|x| on each preimage slice
+    # (hence bit-identical weights): the negative cell copies the edges.
+    bounds = partition.bounds
+    counts, srcs, dsts, weights = _positive_out_edges(
+        omega, partition, bounds[m + 1:-1], bounds[m + 2:]
+    )
 
     # the negative cells 0..m-1 copy the positive runs last run first, so
     # they precede the positive cells' edges in (source, target) order
@@ -216,6 +234,33 @@ def build_representation(omega: ParamInterval, partition: PhasePartition) -> Wei
         np.concatenate((dsts[mirror], dsts)),
         np.concatenate((weights[mirror], weights)),
     )
+
+
+def cycle_weight(omega: ParamInterval, partition: PhasePartition, cycle) -> float | None:
+    """Total weight of the closed walk through the vertices ``cycle`` (first
+    vertex not repeated) in ``build_representation(omega, partition)``,
+    rounded correctly by ``math.fsum``, so with the exact sum's sign; None
+    when one of its edges is not in that graph (the critical vertex has
+    none).  Only the walk's source cells are computed, not the whole graph,
+    and their weights are the graph's bit for bit.
+    """
+    k = partition.k
+    m = k // 2
+    cells = np.asarray(cycle, dtype=np.int64)
+    if not cells.size or cells.min() < 0 or cells.max() > k or (cells == m).any():
+        return None
+    # a negative cell m-1-s has the edges of the positive cell m+1+s
+    sources, at = np.unique(np.abs(cells - m) + m, return_inverse=True)
+    bounds = partition.bounds
+    _, src, dst, weights = _positive_out_edges(
+        omega, partition, bounds[sources], bounds[sources + 1]
+    )
+    key = src * (k + 1) + dst
+    wanted = at * (k + 1) + np.roll(cells, -1)
+    pos = np.minimum(np.searchsorted(key, wanted), key.size - 1)
+    if not key.size or not np.array_equal(key[pos], wanted):
+        return None
+    return math.fsum(weights[pos].tolist())
 
 
 # ---------------------------------------------------------------------------

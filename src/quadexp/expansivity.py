@@ -6,7 +6,9 @@ A SUCCESS result (delta_bar, lambda_bar) certifies that every map in the
 parameter interval is lambda_bar-uniformly expanding outside
 (-delta_bar, delta_bar): orbits avoiding that neighborhood for n steps
 accumulate derivative at least C * exp(lambda_bar * n) for a constant C
-independent of n.  Radii are at most 1, so every exponent bound is finite.
+independent of n.  Radii are at most 1, so every exponent bound is finite,
+except the -inf with which a stopped probe reports a nonpositive cycle it
+was handed (``lambda_bound``); no result carries that value.
 
 The four settings that decide every result (the coarse and fine cell
 counts, the initial radius and the number of bisection steps) travel as
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import build_representation, min_cycle_mean_lowmem
+from .digraph import build_representation, cycle_weight, min_cycle_mean_lowmem
 from .family import ParamInterval
 from .partition import phase_partition
 from .rigor import add_up
@@ -63,10 +65,13 @@ class Status(enum.Enum):
 
 def require_integers(config, *names: str) -> None:
     """Raise ValueError naming the first of config's named fields that is
-    not an integer (a value ``operator.index`` refuses, such as 1000.0)."""
+    not an integer: a bool, or a value ``operator.index`` refuses, such as
+    1000.0."""
     for name in names:
         value = getattr(config, name)
         try:
+            if isinstance(value, bool):  # an int to operator.index, but no count
+                raise TypeError
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -134,6 +139,7 @@ def lambda_bound(
     *,
     stop_at_nonpositive: bool = False,
     successors=None,
+    cycle: list[int] | None = None,
 ) -> float:
     """Certified lower bound for the expansion exponent of every map in
     omega outside (-delta, delta), from the minimum cycle mean of the
@@ -148,12 +154,28 @@ def lambda_bound(
     ``successors`` is handed to ``min_cycle_mean_lowmem``: an array of
     k + 1 vertices' successors that the solve starts from and that
     receives the policy it ends with.
+
+    ``cycle``, when given, is a list of vertices that holds a candidate
+    cycle on entry (empty for none) and the solve's witness cycle on
+    return.  A stopped solve first checks the candidate on this partition:
+    if each of its edges is in the graph and their exact sum is <= 0, the
+    graph has a cycle of nonpositive mean, and -inf, a lower bound on every
+    cycle mean, is returned without building the graph or solving (the
+    list is left as it was).  A probe that the full solve would pass never
+    takes this path, since then every cycle's exact sum is positive.
     """
     partition = phase_partition(omega, delta, k)
+    if stop_at_nonpositive and cycle:
+        total = cycle_weight(omega, partition, cycle)
+        if total is not None and total <= 0.0:
+            return -math.inf
     graph = build_representation(omega, partition)
-    return min_cycle_mean_lowmem(
+    result = min_cycle_mean_lowmem(
         graph, stop_at_nonpositive=stop_at_nonpositive, successors=successors
-    ).value
+    )
+    if cycle is not None:
+        cycle[:] = result.witness_cycle or []
+    return result.value
 
 
 def _mid_up(lo: float, hi: float) -> float:
@@ -162,7 +184,9 @@ def _mid_up(lo: float, hi: float) -> float:
     return add_up(lo, hi) / 2.0
 
 
-def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> DeltaBound | None:
+def delta_bound(
+    omega: ParamInterval, *, settings: Settings = Settings(), cycle: list[int] | None = None
+) -> DeltaBound | None:
     """A possibly small certified radius in (0, delta0], or None when the
     coarse expansion bound at delta0 is already nonpositive.
 
@@ -179,10 +203,17 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
     ``successors``; the probe at delta0 starts cold.  Howard's iteration
     converges from any start and the certificate does not depend on how
     the policy was reached, so the start changes only the work.
+
+    ``cycle`` is handed to the probe at delta0 alone, as ``lambda_bound``
+    describes: a candidate cycle, such as the witness of a neighbouring
+    interval's rejected probe, which when it closes with a nonpositive
+    sum here rejects the interval (that probe's value is then -inf)
+    without a graph or a solve; it receives that probe's witness.
     """
     policy = np.full(settings.k_coarse + 1, -1, dtype=np.int64)
     coarse = lambda_bound(
-        omega, settings.delta0, settings.k_coarse, stop_at_nonpositive=True, successors=policy
+        omega, settings.delta0, settings.k_coarse,
+        stop_at_nonpositive=True, successors=policy, cycle=cycle,
     )
     if coarse <= 0.0:
         return None
@@ -204,13 +235,17 @@ def delta_bound(omega: ParamInterval, *, settings: Settings = Settings()) -> Del
     return DeltaBound(hi, coarse)
 
 
-def analyze(omega: ParamInterval, *, settings: Settings = Settings()) -> AnalysisResult:
+def analyze(
+    omega: ParamInterval, *, settings: Settings = Settings(), cycle: list[int] | None = None
+) -> AnalysisResult:
     """Full certified analysis of one parameter interval: radius bisection
     at the coarse resolution, then the exponent bound at the fine one.
 
     Both bounds hold for every map in omega outside (-delta_bar,
     delta_bar), so lambda_bar is the larger of the two: the fine bound
     usually, the coarse one where re-partitioning lost ground.
+    ``cycle`` is handed to ``delta_bound``; it changes the work, never the
+    result.
     """
     start = time.perf_counter()
 
@@ -221,7 +256,7 @@ def analyze(omega: ParamInterval, *, settings: Settings = Settings()) -> Analysi
             settings.k_coarse, settings.k_fine, elapsed,
         )
 
-    bound = delta_bound(omega, settings=settings)
+    bound = delta_bound(omega, settings=settings, cycle=cycle)
     if bound is None:
         return done(Status.NO_EXPANSION_AT_DELTA0)
     fine = lambda_bound(omega, bound.delta_bar, settings.k_fine)

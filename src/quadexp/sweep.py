@@ -2,26 +2,36 @@
 ordered checkpointed CSV output, resume by appending, and plot-data
 emission.
 
-The sweep's process starts ``min(workers, rows left)`` forked worker
+The sweep's process starts ``min(workers, runs left)`` forked worker
 processes (even one worker analyzes in a child) and runs no thread of its
-own.  The work queue is one shared counter: each worker claims its next
-row index by bumping the counter under its lock, so the queue stays
-dynamic at row granularity and the parent dispatches nothing.  A worker
-sends each ``(index, row)`` over its own one-way pipe; the parent waits on
-the pipes' receiving ends, keeps out-of-order rows in a reorder buffer and
-writes rows in index order, each flushed as it is written (so a killed
-sweep keeps every finished row) and fsynced every ``FSYNC_EVERY`` rows.
+own.  The rows left are cut into runs of ``RUN`` consecutive rows, from
+the first row the sweep computes.  The work queue is one shared counter:
+each worker claims its next run by moving the counter past it under its
+lock, so the queue is dynamic at run granularity and the parent
+dispatches nothing.  A worker analyzes a run's rows in order, handing
+each analysis the witness cycle of its previous row's first probe (none
+for a run's first row): a rejected row whose neighbour's rejecting cycle
+still closes with a nonpositive sum skips its graph and solve.  The
+candidate changes the work, never a row, and since every run starts
+without one, which rows start cold does not depend on the worker count.
+A worker sends each ``(index, row)`` over its own one-way pipe; the
+parent waits on the pipes' receiving ends, keeps out-of-order rows in a
+reorder buffer and writes rows in index order, each flushed as it is
+written (so a killed sweep keeps every finished row) and fsynced every
+``FSYNC_EVERY`` rows.
 Failures: an exception that escapes a worker's analysis (one that is not
-an ``Exception``, which only marks its row ``ERROR``) pushes the counter
-past the range, so no worker claims another row, and is re-raised in the
-sweep's process; a worker that dies holding a row has the counter pushed
-the same way, the others finish their rows, and the sweep raises an error
-naming the first missing index.  On any exception the sweep's process
-pushes the counter, terminates its workers and joins them before the
-exception propagates, so no worker outlives ``run_sweep``.  Workers are
-always forked, whatever the platform's default start method, so they see
-the sweep's module state (a patched ``analyze`` included) and the grid
-points, and each exits on its own when the sweep's process dies.
+an ``Exception``, which only marks its row ``ERROR``) sets the stop mark,
+a counter value past the range, and is re-raised in the sweep's process;
+a worker that dies holding a run has the stop mark set the same way.
+Each worker reads the mark before each row, so after it is set no worker
+starts more than one further row, and the others' unfinished runs are
+given up; the sweep then raises an error naming the first missing index.
+On any exception the sweep's process sets the stop mark, terminates its
+workers and joins them before the exception propagates, so no worker
+outlives ``run_sweep``.  Workers are always forked, whatever the
+platform's default start method, so they see the sweep's module state (a
+patched ``analyze`` included) and the grid points, and each exits on its
+own when the sweep's process dies.
 Beside the results file, ``<output>.config`` records the grid and the
 analysis ``Settings``, which decide the rows' bytes; a restart with the
 same ones truncates the file just past its contiguous prefix of complete
@@ -62,6 +72,7 @@ CSV_HEADER = (
 
 DEFAULT_N = 60000
 FSYNC_EVERY = 16
+RUN = 8  # rows a worker claims at once; each run starts without a candidate cycle
 
 
 @dataclass(frozen=True)
@@ -145,9 +156,9 @@ def _exit_with_parent(parent: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _analyze_task(omega: ParamInterval, config: SweepConfig) -> tuple[int, str]:
+def _analyze_task(omega: ParamInterval, config: SweepConfig, cycle: list[int]) -> tuple[int, str]:
     try:
-        res = analyze(omega, settings=config.settings)
+        res = analyze(omega, settings=config.settings, cycle=cycle)
     except Exception as exc:  # a panic in one interval must not kill the sweep
         print(f"analysis of interval {omega.index} failed: {exc!r}", file=sys.stderr)
         res = AnalysisResult(
@@ -158,25 +169,35 @@ def _analyze_task(omega: ParamInterval, config: SweepConfig) -> tuple[int, str]:
 
 
 def _stop_claims(counter, last: int) -> None:
+    """Set the stop mark: a counter value past ``last``, which claims never
+    reach (the last run moves the counter to ``last`` exactly)."""
     with counter.get_lock():
-        counter.value = max(counter.value, last)
+        counter.value = last + 1
 
 
 def _claim_rows(config: SweepConfig, window: list[float], counter, conn, parent: int) -> None:
-    """Body of a forked worker: claim the next row index from the shared
-    counter, analyze it and send ``(index, row)`` to the parent, until the
-    counter reaches ``config.last``.  An exception that escapes the
-    analysis stops every worker's claims and is sent to the parent."""
+    """Body of a forked worker: claim the next run of up to ``RUN`` rows
+    from the shared counter, analyze its rows in order, each handed its
+    predecessor's witness, and send each ``(index, row)`` to the parent,
+    until the counter reaches ``config.last``.  The stop mark is read
+    before each row.  An exception that escapes the analysis sets the
+    stop mark and is sent to the parent."""
     _exit_with_parent(parent)
+    cycle: list[int] = []
     try:
         while True:
             with counter.get_lock():
-                index = counter.value
-                counter.value = index + 1
-            if index >= config.last:
-                return
-            at = index - config.first
-            conn.send(_analyze_task(ParamInterval(index, window[at], window[at + 1]), config))
+                begin = counter.value
+                if begin >= config.last:
+                    return
+                counter.value = end = min(begin + RUN, config.last)
+            cycle.clear()
+            for index in range(begin, end):
+                if counter.value > config.last:
+                    return
+                at = index - config.first
+                omega = ParamInterval(index, window[at], window[at + 1])
+                conn.send(_analyze_task(omega, config, cycle))
     except BaseException as exc:
         _stop_claims(counter, config.last)
         conn.send(exc)
@@ -259,7 +280,7 @@ def run_sweep(config: SweepConfig) -> str:
         readers: dict = {}  # each worker's receiving end: its process
         buffered: dict[int, str] = {}
         try:
-            for _ in range(min(config.workers, config.last - start)):
+            for _ in range(min(config.workers, len(range(start, config.last, RUN)))):
                 reader, writer = fork.Pipe(duplex=False)
                 proc = fork.Process(
                     target=_claim_rows,

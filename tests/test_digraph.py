@@ -15,9 +15,11 @@ from quadexp.digraph import (
     WeightedDigraph,
     _certify,
     _evaluate,
+    _positive_out_edges,
     _prune,
     brute_force_cycle_mean,
     build_representation,
+    cycle_weight,
     dump_graph,
     load_graph,
     min_cycle_mean_karp,
@@ -200,6 +202,69 @@ class TestBuildRepresentation:
                 y = a - x * x
                 if tgt.lo <= y <= tgt.hi:
                     assert w <= math.log(abs(2 * x)) + 1e-12, (u, v, w, x)
+
+
+class TestCycleWeight:
+    @given(
+        a_lo=st.floats(1.0, 2.0),
+        width=st.floats(0.0, 0.01),
+        log2_delta=st.floats(-13.0, 0.0),
+        half=st.integers(1, 120),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chosen_sources_get_the_graphs_edges(self, a_lo, width, log2_delta, half, data):
+        # the helper on any set of positive cells gives those cells' out-
+        # edges in the whole graph, targets and weights bit for bit, and
+        # so do their mirrors, the negative cells
+        omega, k = ParamInterval(0, a_lo, min(a_lo + width, 2.0)), 2 * half
+        try:
+            part = phase_partition(omega, 2.0**log2_delta, k)
+        except RigorError:
+            reject()  # k too large for [delta, sup]
+        graph = build_representation(omega, part)
+        chosen = data.draw(st.sets(st.integers(0, half - 1)))
+        sources = np.array(sorted(chosen), dtype=np.int64)
+        cells = half + 1 + sources
+        counts, at, dst, weight = _positive_out_edges(
+            omega, part, part.bounds[cells], part.bounds[cells + 1]
+        )
+        assert counts.tolist() == np.bincount(at, minlength=sources.size).tolist()
+        assert np.all(np.diff(at * (k + 1) + dst) > 0)
+        for i, s in enumerate(sources.tolist()):
+            for cell in (half + 1 + s, half - 1 - s):
+                edges = graph.src == cell
+                assert dst[at == i].tolist() == graph.dst[edges].tolist()
+                assert weight[at == i].tobytes() == graph.weight[edges].tobytes()
+
+    def test_cycles_of_the_graph(self):
+        # every witness of a representation graph, stopped or full, and
+        # every self-loop: the exact sum of the graph's weights, rounded
+        grid = subdivide_parameters(representable("1.4"), 2.0, 60000)
+        for row, delta, k in ((12800, 0.001, 1000), (51030, 0.001, 1000), (59245, 0.0005, 200)):
+            omega = grid.interval(row)
+            part = phase_partition(omega, delta, k)
+            graph = build_representation(omega, part)
+            weight = {(u, v): w for u, v, w in graph.edges()}
+            cycles = [[u] for (u, v) in weight if u == v]
+            for stop in (False, True):
+                cycles.append(min_cycle_mean_lowmem(graph, stop_at_nonpositive=stop).witness_cycle)
+            for cycle in cycles:
+                closed = list(zip(cycle, cycle[1:] + cycle[:1]))
+                exact = sum(Fraction(weight[e]) for e in closed)
+                assert cycle_weight(omega, part, cycle) == math.fsum(weight[e] for e in closed)
+                assert (cycle_weight(omega, part, cycle) <= 0) == (exact <= 0)
+
+    def test_walks_off_the_graph(self):
+        omega = subdivide_parameters(representable("1.4"), 2.0, 60000).interval(12800)
+        part = phase_partition(omega, 0.001, 100)
+        graph = build_representation(omega, part)
+        witness = min_cycle_mean_lowmem(graph).witness_cycle
+        assert cycle_weight(omega, part, witness) is not None
+        edges = set(zip(graph.src.tolist(), graph.dst.tolist()))
+        lone = next(u for u in range(101) if u != 50 and (u, u) not in edges)
+        for walk in ([lone], witness + [50], [50], [], [-1], [101], witness[:1] + witness):
+            assert cycle_weight(omega, part, walk) is None, walk
 
 
 class TestBruteForce:

@@ -162,7 +162,7 @@ class TestAnalyze:
         monkeypatch.setattr(
             expansivity,
             "lambda_bound",
-            lambda omega, delta, k, *, stop_at_nonpositive=False, successors=None: (
+            lambda omega, delta, k, *, stop_at_nonpositive=False, successors=None, cycle=None: (
                 0.5 if k == 200 else -0.125
             ),
         )
@@ -252,7 +252,7 @@ class TestBisectionBehavior:
         threshold = 0.0004
         calls = []
 
-        def fake(omega, delta, k, *, stop_at_nonpositive=False, successors=None):
+        def fake(omega, delta, k, *, stop_at_nonpositive=False, successors=None, cycle=None):
             calls.append(delta)
             return 1.0 if delta >= threshold else -1.0
 
@@ -272,7 +272,7 @@ class TestBisectionBehavior:
         # the fine stage gets none
         calls, starts, passed = [], [], []
 
-        def fake(omega, delta, k, *, stop_at_nonpositive=False, successors=None):
+        def fake(omega, delta, k, *, stop_at_nonpositive=False, successors=None, cycle=None):
             calls.append((k, stop_at_nonpositive))
             starts.append(None if successors is None else successors.copy())
             if successors is not None:
@@ -293,3 +293,75 @@ class TestBisectionBehavior:
         for i in range(1, 21):
             last_pass = max(j for j in range(i) if passed[j])
             assert np.all(starts[i] == last_pass + 1)
+
+
+def stopped(omega, cycle=None, delta=0.001, k=1000):
+    return lambda_bound(omega, delta, k, stop_at_nonpositive=True, cycle=cycle)
+
+
+class TestCandidateCycle:
+    # a stopped probe first checks a candidate cycle: one that closes with
+    # a nonpositive exact sum rejects without a graph or a solve
+
+    def test_a_hit_skips_the_graph_and_the_solve(self, monkeypatch):
+        omega = subdivide_parameters(representable("1.4"), 2.0, DEFAULT_N).interval(12800)
+        cycle = []
+        cold = stopped(omega, cycle)
+        assert cold <= 0.0 and cycle
+        witness = list(cycle)
+        full = lambda_bound(omega, 0.001, 1000, cycle=cycle)
+        assert full.hex() == lambda_bound(omega, 0.001, 1000).hex()
+        monkeypatch.setattr(expansivity, "build_representation", lambda *args: pytest.fail("built"))
+        cycle[:] = witness
+        assert stopped(omega, cycle) == -math.inf
+        assert cycle == witness
+
+    def test_failed_candidates_give_the_cold_value(self):
+        # a candidate with a missing edge, one through the critical vertex
+        # and one of positive sum: each probe builds, solves from cold and
+        # hands back the cold witness, bit for bit
+        omega = subdivide_parameters(representable("1.4"), 2.0, DEFAULT_N).interval(12800)
+        witness = []
+        cold = stopped(omega, witness)
+        part = phase_partition(omega, 0.001, 1000)
+        graph = build_representation(omega, part)
+        weight = {(u, v): w for u, v, w in graph.edges()}
+        missing = next(u for u in range(1001) if u != 500 and (u, u) not in weight)
+        positive = next(u for u in range(1001) if weight.get((u, u), 0.0) > 0.0)
+        for candidate in ([missing], witness + [500], [positive]):
+            total = expansivity.cycle_weight(omega, part, candidate)
+            assert total is None or total > 0.0
+            cycle = list(candidate)
+            assert stopped(omega, cycle).hex() == cold.hex()
+            assert cycle == witness
+
+    def test_rows_51024_to_51036(self):
+        # thirteen one-probe rejects in a row, each handed the previous
+        # row's witness: every hit is a row whose cold stopped value is
+        # <= 0, and every miss is that value bit for bit
+        grid = subdivide_parameters(representable("1.4"), 2.0, DEFAULT_N)
+        cycle, hits = [], 0
+        for row in range(51024, 51037):
+            omega = grid.interval(row)
+            cold = stopped(omega)
+            value = stopped(omega, cycle)
+            if value == -math.inf:
+                hits += 1
+                assert cold <= 0.0
+            else:
+                assert value.hex() == cold.hex()
+        assert hits >= 6
+
+    def test_only_the_first_probe_gets_the_candidate(self, flagship, monkeypatch):
+        calls = []
+
+        def fake(omega, delta, k, *, stop_at_nonpositive=False, successors=None, cycle=None):
+            calls.append(cycle)
+            return 1.0 if delta >= 0.0004 else -1.0
+
+        monkeypatch.setattr(expansivity, "lambda_bound", fake)
+        candidate = [1, 2]
+        res = analyze(flagship, settings=Settings(k_coarse=200, k_fine=64, bisection_steps=6),
+                      cycle=candidate)
+        assert res.status is Status.SUCCESS
+        assert calls[0] is candidate and calls[1:] == [None] * 7

@@ -342,6 +342,70 @@ class TestRunSweep:
         assert raiser not in after
         assert all(after.count(pid) <= 1 for pid in after)
 
+    def test_other_workers_stop_after_a_dead_worker(self, tmp_path, monkeypatch):
+        # the dead worker's run is [0, 8) and the other's [8, 16): once the
+        # sweep sees the death, the other starts at most one further row
+        log = str(tmp_path / "starts")
+
+        def logged(omega, *args, **kwargs):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{os.getpid()} {omega.index}\n".encode())
+            finally:
+                os.close(fd)
+            if omega.index == 3:
+                os._exit(3)
+            time.sleep(0.1)
+            return AnalysisResult(omega.index, omega.a_lo, omega.a_hi, Status.ERROR,
+                                  None, None, 200, 400, 0)
+
+        monkeypatch.setattr(sweep_mod, "analyze", logged)
+        with pytest.raises(RuntimeError, match="row 3 is missing"):
+            run_sweep(fast_config(tmp_path, "dead.csv", last=20, workers=2))
+        assert multiprocessing.active_children() == []
+        with open(log) as fh:
+            starts = [line.split() for line in fh]
+        died = [i for i, (_, index) in enumerate(starts) if index == "3"]
+        assert len(died) == 1
+        after = [pid for pid, _ in starts[died[0] + 1:]]
+        assert len(after) <= 1 and starts[died[0]][0] not in after
+        assert not [index for _, index in starts if int(index) >= 16]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_run_starts_without_a_candidate(self, tmp_path, monkeypatch, workers):
+        # rows first + 8 j start with an empty candidate cycle, every other
+        # row with the one its predecessor left
+        log = str(tmp_path / "candidates")
+
+        def logged(omega, *, settings, cycle):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{omega.index} {','.join(map(str, cycle))}\n".encode())
+            finally:
+                os.close(fd)
+            cycle[:] = [omega.index]
+            return AnalysisResult(omega.index, omega.a_lo, omega.a_hi, Status.ERROR,
+                                  None, None, 200, 400, 0)
+
+        monkeypatch.setattr(sweep_mod, "analyze", logged)
+        run_sweep(fast_config(tmp_path, "runs.csv", first=3, last=24, workers=workers))
+        with open(log) as fh:
+            seen = dict(line.rstrip("\n").split(" ") for line in fh)
+        assert sorted(map(int, seen)) == list(range(3, 24))
+        for index, candidate in seen.items():
+            index = int(index)
+            assert candidate == ("" if (index - 3) % 8 == 0 else str(index - 1))
+
+    def test_bool_is_not_a_count(self, tmp_path):
+        with pytest.raises(ValueError, match="bisection_steps must be an integer, got True"):
+            Settings(bisection_steps=True)
+        cfg = SweepConfig(workers=True, output_path=str(tmp_path / "b.csv"))
+        with pytest.raises(ValueError, match="workers must be an integer, got True"):
+            cfg.validate()
+        with pytest.raises(ValueError):
+            run_sweep(cfg)
+        assert os.listdir(tmp_path) == []
+
     def test_panic_recorded_and_continues(self, tmp_path, monkeypatch):
         real = sweep_mod.analyze
 
